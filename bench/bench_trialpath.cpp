@@ -10,7 +10,7 @@
 //
 // The --bench document records trials/sec for every path -- the
 // reconstructed seed baseline, today's fresh-kernel path, the pooled
-// workspace, and the batched SoA lockstep kernel (algo/batch.hpp; every
+// workspace, and the fiber-free batch engine (algo/batch.hpp; every
 // paper-le cell is batch-eligible) -- plus the speedups, so BENCH_*.json
 // trajectory tracking covers the trial hot path itself alongside the
 // campaign-level numbers rts_bench --bench emits.  The writer also
@@ -67,9 +67,8 @@ sim::Kernel::Options kernel_options_of(const campaign::CellSpec& cell) {
   return options;
 }
 
-/// Lane width for the batched SoA path: wide enough to amortize the bank
-/// reset, well under kMaxBatchLanes so the partial-final-block case still
-/// appears at paper-le's 150 trials/cell.
+/// The `--batch N` value the batched path is selected with (recorded as
+/// `batch_lanes`); it does not change how the batch engine runs.
 constexpr int kBatchLanes = 32;
 
 bool batch_eligible(const campaign::CellSpec& cell) {
@@ -231,9 +230,8 @@ void bm_pooled_trial(benchmark::State& state, const campaign::CellSpec& cell) {
 
 void bm_batched_trial(benchmark::State& state,
                       const campaign::CellSpec& cell) {
-  // The executor's actual batched path: block-cached summaries through the
-  // workspace, sequential trial access recomputing one block per
-  // kBatchLanes trials.
+  // The executor's actual batched path: one trial per call through the
+  // workspace's pooled batch stream.
   exec::TrialWorkspace workspace;
   const exec::BatchStreamFactory factory = [&cell] {
     return make_cell_batch_stream(cell);
@@ -253,7 +251,7 @@ struct CellThroughput {
   double seed_tps = 0.0;    // reconstructed seed fresh-kernel path
   double fresh_tps = 0.0;   // today's fresh-kernel path
   double pooled_tps = 0.0;
-  double batched_tps = 0.0;  // SoA lockstep path; 0 = cell ineligible
+  double batched_tps = 0.0;  // batch engine; 0 = cell ineligible
 };
 
 /// Summaries must match field-for-field; the bench refuses to report a
@@ -395,7 +393,7 @@ bool write_trialpath_bench(const std::string& dir, int trials) {
       batched_cells > 0 ? batched_cells / batched_sum : 0.0;
   // The headline speedup is pooled-vs-seed: what the hot-path rework bought
   // over the baseline it replaced.  pooled-vs-fresh isolates the workspace
-  // pooling alone; batched-vs-pooled isolates the SoA lockstep kernel on
+  // pooling alone; batched-vs-pooled isolates the batch engine on
   // the eligible cells (all of paper-le qualifies: uniform-random schedules
   // over batch-supported algorithms).
   const double speedup = pooled_tps / seed_tps;

@@ -2,8 +2,9 @@
 //
 // Each supported algorithm has an explicit state-machine twin of its
 // fiber-based implementation (same shared-memory op sequence, same per-pid
-// PRNG draw order), so sim::BatchStream can run whole blocks of trials in
-// lockstep and still match the scalar path's TrialSummary byte for byte.
+// PRNG draw order), so sim::BatchStream can run a cell's trials without
+// fibers and still match the scalar path's TrialSummary byte for byte.
+// Machines hold one trial's state, indexed by pid.
 // Eligibility is two-sided:
 //
 //   * algorithm: a batch machine exists for logstar, sift, cascade,
@@ -37,8 +38,9 @@ std::optional<sim::BatchSched> batch_sched(AdversaryId id);
 bool batch_supported(AlgorithmId id);
 
 /// Builds a pooled batch stream for one campaign cell, or nullptr when the
-/// (algorithm, adversary) pair is ineligible.  `lanes` is clamped to
-/// [1, sim::kMaxBatchLanes].
+/// (algorithm, adversary) pair is ineligible.  `lanes` is the executor's
+/// sim_batch_lanes knob: it must lie in [1, sim::kMaxBatchLanes] (throws
+/// rts::Error otherwise) and does not change how the stream runs.
 std::unique_ptr<sim::BatchStream> make_batch_stream(
     AlgorithmId algorithm, AdversaryId adversary, int n, int k, int lanes,
     std::uint64_t seed0, std::uint64_t step_limit);

@@ -107,9 +107,9 @@ void print_usage(std::FILE* out) {
                "  --backend B[,B...] execution backends: sim | hw "
                "(overrides preset)\n"
                "  --workers N       worker threads (0 = hardware, default 1)\n"
-               "  --batch N         batched SoA fast path: run eligible sim\n"
-               "                    cells' trials in lockstep blocks of N\n"
-               "                    lanes (1-64; bitwise-identical output,\n"
+               "  --batch N         batched fast path: N in 1-64 runs eligible\n"
+               "                    sim cells' trials through the fiber-free\n"
+               "                    batch engine (bitwise-identical output,\n"
                "                    see docs/ARCHITECTURE.md; default off)\n"
                "  --trials N        override trials per cell\n"
                "  --seed S          override campaign seed\n"
@@ -173,6 +173,10 @@ void print_usage(std::FILE* out) {
                "SIGINT/SIGTERM stop campaign and soak runs gracefully:\n"
                "partial results are reported (marked interrupted) and, for\n"
                "campaigns, completed cells are checkpointed for --resume.\n"
+               "\n"
+               "exit status: 0 ok, 1 run failure, 2 usage error, 3 some\n"
+               "trials errored (reasons in the table, jsonl and stderr),\n"
+               "130 interrupted.\n"
                "\n"
                "open-loop soak (hw backend; see EXPERIMENTS.md):\n"
                "  --soak S          soak for S seconds: fire elections at\n"
@@ -246,7 +250,7 @@ struct CliArgs {
   std::optional<std::uint64_t> seed;
   std::optional<std::uint64_t> step_limit;
   int workers = 1;
-  int batch = 0;  // 0 = scalar kernel; > 0 = SoA lanes for eligible cells
+  int batch = 0;  // 0 = scalar kernel; > 0 = batch engine for eligible cells
   double time_budget = 0.0;
   ReportFormat format = ReportFormat::kTable;
   std::string json_path;
@@ -1068,6 +1072,7 @@ int run_cli(int argc, char** argv) {
   Sink json_sink(args.json_path, ReportFormat::kJsonl, any_extended, any_rmr);
   Sink csv_sink(args.csv_path, ReportFormat::kCsv, any_extended, any_rmr);
 
+  bool any_errored = false;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const CampaignSpec& spec = specs[i];
     const std::string problem = validate(spec);
@@ -1159,6 +1164,15 @@ int run_cli(int argc, char** argv) {
                      options.checkpoint_dir.c_str());
       }
     }
+    for (const CellResult& cell : result.cells) {
+      if (cell.error_runs == 0) continue;
+      any_errored = true;
+      std::fprintf(stderr, "rts_bench: [%s] %s k=%d: %d errored trial%s: %s\n",
+                   spec.name.c_str(), algo::info(cell.cell.algorithm).name,
+                   cell.cell.k, cell.error_runs,
+                   cell.error_runs == 1 ? "" : "s",
+                   cell.first_errors.front().c_str());
+    }
     if (!json_sink.write(result)) return 1;
     if (!csv_sink.write(result)) return 1;
     if (!args.bench_dir.empty() && !write_bench_file(args.bench_dir, result)) {
@@ -1179,7 +1193,7 @@ int run_cli(int argc, char** argv) {
       return 130;
     }
   }
-  return 0;
+  return any_errored ? kExitErroredTrials : 0;
 }
 
 }  // namespace rts::campaign

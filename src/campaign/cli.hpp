@@ -45,6 +45,10 @@ std::optional<double> parse_double_flag(const char* flag,
 CampaignResult run_preset(std::string_view name,
                           const ExecutorOptions& options = {});
 
+/// Exit status of a campaign run whose reports include errored trials
+/// (distinct from 1 = run failure, 2 = usage error, 130 = interrupted).
+inline constexpr int kExitErroredTrials = 3;
+
 /// Full CLI entry point for the rts_bench binary.
 int run_cli(int argc, char** argv);
 

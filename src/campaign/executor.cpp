@@ -389,13 +389,15 @@ CampaignResult run_campaign(const CampaignSpec& spec,
           });
       continue;
     }
-    // Batched SoA fast path: eligible cells run lockstep lane-blocks through
-    // the worker's pooled batch stream instead of the scalar kernel.
-    // Eligibility is two-sided (batch machine + pure-function-of-seed
-    // adversary; see algo/batch.hpp) and requires the RMR-free memory path;
-    // record/replay runs were dispatched above.  Batched summaries are
-    // bitwise-identical to the scalar path's, so this branch can never
-    // change campaign bytes.
+    // Batched fast path: eligible cells run each trial through the
+    // worker's pooled batch stream (fiber-free state machines) instead of
+    // the scalar kernel.  Eligibility is two-sided (batch machine +
+    // pure-function-of-seed adversary; see algo/batch.hpp) and requires the
+    // RMR-free memory path; record/replay runs were dispatched above.
+    // Batched summaries are bitwise-identical to the scalar path's, so this
+    // branch can never change campaign bytes, and because the stream runs
+    // exactly the requested trial, trial-granularity stealing never
+    // duplicates work.
     if (options.sim_batch_lanes > 0 && cell.rmr == rmr::RmrModel::kNone &&
         algo::batch_supported(cell.algorithm) &&
         algo::batch_sched(cell.adversary).has_value()) {

@@ -103,15 +103,16 @@ struct ExecutorOptions {
   /// checkpoint_dir was set: completed sim cells land here so the campaign
   /// is resumable even if checkpointing wasn't requested up front.
   std::string interrupt_checkpoint_dir;
-  /// Batched SoA fast path (sim/batch.hpp): > 0 runs each *eligible* sim
-  /// cell's trials in lockstep blocks of this many lanes (clamped to
-  /// [1, sim::kMaxBatchLanes]).  Eligibility is per cell -- the algorithm
-  /// needs a batch machine, the adversary's schedule must be a pure
-  /// function of its seed, and no RMR model may be armed (see
-  /// algo/batch.hpp); ineligible cells, record, and replay runs keep the
-  /// scalar kernel.  Batched cells produce bitwise-identical summaries to
-  /// the scalar path (CI-gated), so this knob can never change results --
-  /// only throughput.  0 disables.
+  /// Batched fast path (sim/batch.hpp): > 0 runs each *eligible* sim
+  /// cell's trials through the fiber-free batch engine, one trial at a
+  /// time.  The value (0..sim::kMaxBatchLanes, the `--batch N` range) only
+  /// selects the engine.  Eligibility is per cell -- the algorithm needs a
+  /// batch machine, the adversary's schedule must be a pure function of
+  /// its seed, and no RMR model may be armed (see algo/batch.hpp);
+  /// ineligible cells, record, and replay runs keep the scalar kernel.
+  /// Batched cells produce bitwise-identical summaries to the scalar path
+  /// (CI-gated), so this knob can never change results -- only
+  /// throughput.  0 disables.
   int sim_batch_lanes = 0;
 };
 

@@ -34,6 +34,13 @@ std::string json_escape(std::string_view text) {
       out += "\\n";
       continue;
     }
+    if (static_cast<unsigned char>(c) < 0x20) {
+      char escaped[8];
+      std::snprintf(escaped, sizeof escaped, "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += escaped;
+      continue;
+    }
     out.push_back(c);
   }
   return out;
@@ -93,6 +100,15 @@ void print_backends_json(std::FILE* out, const CampaignSpec& spec) {
   std::fputc(']', out);
 }
 
+/// Whether any cell has an errored trial; the error column and the jsonl
+/// `errors` list appear only then, so error-free output keeps its bytes.
+bool any_errors(const CampaignResult& result) {
+  for (const CellResult& cell : result.cells) {
+    if (cell.error_runs > 0) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 std::optional<ReportFormat> parse_format(std::string_view name) {
@@ -130,6 +146,7 @@ void report_table(const CampaignResult& result, std::FILE* out) {
   const bool extended = extended_schema(result.spec);
   const bool rmr = rmr_schema(result.spec);
   const bool chaos = chaos_schema(result);
+  const bool errors = any_errors(result);
   // One table per (backend, adversary) group actually present in the
   // cells, in first-appearance order -- the reporter never re-derives
   // expand()'s grid rules (e.g. the hw adversary collapse), so it cannot
@@ -180,6 +197,10 @@ void report_table(const CampaignResult& result, std::FILE* out) {
         // hw latency is wall-clock; tails go beside the wall-time mean.
         columns.push_back("p99 us");
         columns.push_back("p999 us");
+      }
+      if (errors) {
+        columns.push_back("errors");
+        columns.push_back("first error");
       }
       support::Table table(title, columns);
       for (const CellResult& cell : result.cells) {
@@ -232,6 +253,12 @@ void report_table(const CampaignResult& result, std::FILE* out) {
               static_cast<double>(cell.agg.latency.p99()) / 1e3, 1));
           row.push_back(support::Table::num(
               static_cast<double>(cell.agg.latency.p999()) / 1e3, 1));
+        }
+        if (errors) {
+          row.push_back(
+              support::Table::num(static_cast<std::size_t>(cell.error_runs)));
+          row.push_back(cell.first_errors.empty() ? "-"
+                                                  : cell.first_errors.front());
         }
         table.add_row(row);
       }
@@ -294,6 +321,15 @@ void report_jsonl(const CampaignResult& result, std::FILE* out) {
         static_cast<unsigned long long>(cell.cell.seed0),
         cell.declared_registers, cell.agg.violation_runs,
         cell.incomplete_runs, cell.error_runs);
+    if (cell.error_runs > 0) {
+      // The reasons of the cell's first errored trials (at most three).
+      std::fputs("\"errors\":[", out);
+      for (std::size_t i = 0; i < cell.first_errors.size(); ++i) {
+        std::fprintf(out, "%s\"%s\"", i > 0 ? "," : "",
+                     json_escape(cell.first_errors[i]).c_str());
+      }
+      std::fputs("],", out);
+    }
     if (chaos) {
       std::fprintf(out,
                    "\"timed_out_runs\":%d,\"retried_runs\":%d,"

@@ -388,9 +388,6 @@ SoakResult run_soak_one(const SoakSpec& spec, algo::AlgorithmId algorithm,
 
   const std::string tag = std::string("soak ") + algo::info(algorithm).name;
   const Clock::time_point start = Clock::now();
-  const Clock::time_point deadline =
-      start + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(spec.duration_seconds));
   const auto heartbeat_interval =
       std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(
           spec.heartbeat_seconds > 0.0 ? spec.heartbeat_seconds : 0.5));
@@ -468,20 +465,23 @@ SoakResult run_soak_one(const SoakSpec& spec, algo::AlgorithmId algorithm,
     const Clock::time_point scheduled = scheduled_at(dispatched);
     Clock::time_point now = Clock::now();
     // Open-loop arrival: wait for the next scheduled request, waking for
-    // heartbeats, but never past the soak deadline.
-    while (now < scheduled && now < deadline) {
-      Clock::time_point wake = std::min(scheduled, deadline);
+    // heartbeats.  Every planned arrival is scheduled inside the soak's
+    // duration, so this wait never outlasts it.
+    while (now < scheduled) {
+      Clock::time_point wake = scheduled;
       if (heartbeat != nullptr) wake = std::min(wake, next_heartbeat);
       std::this_thread::sleep_until(wake);
       now = Clock::now();
       maybe_heartbeat(now);
     }
-    if (now >= deadline) break;
     maybe_heartbeat(now);
 
     // Dispatch pass: batch every arrival due by now (at least the one we
     // slept for), routing each to the least-backlog shard, then publish
-    // each shard's batch with a single wakeup.
+    // each shard's batch with a single wakeup.  A dispatcher that wakes
+    // late still dispatches everything due before it stops, so planned =
+    // completed + timed_out + shed holds for every run that was not
+    // interrupted.
     const std::uint64_t due = due_at(now);
     for (auto& batch : batches) batch.clear();
     while (dispatched < due) {
@@ -508,7 +508,7 @@ SoakResult run_soak_one(const SoakSpec& spec, algo::AlgorithmId algorithm,
 
   // Drain: already-routed arrivals are served (their queue wait keeps
   // accruing into their latency); an interrupt abandons the queues
-  // instead.  Arrivals never dispatched are the served vs planned gap.
+  // instead.  Only an interrupt leaves arrivals undispatched.
   for (const auto& shard : shards) shard->finish(result.interrupted);
   result.wall_seconds = seconds_between(start, Clock::now());
   std::vector<ShardStats> stats;

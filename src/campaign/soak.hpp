@@ -16,9 +16,11 @@
 // jitter, and once the backlog crosses `shed_backlog` the driver sheds
 // arrivals instead of queueing unboundedly.  Every arrival the driver
 // handles lands in exactly one outcome bucket -- completed / timed_out /
-// shed -- and `retried` counts the extra attempts; arrivals still queued
-// when the wall deadline expires are simply not handled (the served vs
-// planned gap the table has always shown).  Latency is recorded only for
+// shed -- and `retried` counts the extra attempts.  Every planned arrival
+// is scheduled before the wall deadline, and a dispatcher that wakes late
+// still dispatches everything due before it stops, so for every run that
+// was not interrupted planned = completed + timed_out + shed; only an
+// interrupt leaves a served vs planned gap.  Latency is recorded only for
 // completed elections (honest absence, never fabricated success).
 //
 // The service is *sharded* (`shards`): N persistent HwTrialPool arenas,

@@ -194,7 +194,6 @@ TrialSummary TrialWorkspace::run_le_batch_trial(
     }
     auto fresh = std::make_unique<BatchSlot>();
     fresh->key = key;
-    fresh->lanes = lanes;
     fresh->stream = factory();
     RTS_REQUIRE(fresh->stream != nullptr,
                 "batch stream factory returned nullptr (cell is ineligible; "
@@ -202,20 +201,11 @@ TrialSummary TrialWorkspace::run_le_batch_trial(
     batch_slots_.push_back(std::move(fresh));
     slot = batch_slots_.back().get();
   }
-  RTS_REQUIRE(slot->lanes == lanes, "batch key reused with different lanes");
   slot->last_used = ++clock_;
-  // Blocks are aligned to the trial index, never to the request order, so
-  // every access pattern computes the same blocks (bitwise determinism).
-  const int base = (trial / lanes) * lanes;
-  if (slot->block_base != base) {
-    const int count = std::min(lanes, cell_trials - base);
-    slot->block.resize(static_cast<std::size_t>(count));
-    slot->stream->run_block(base, count, slot->block.data());
-    slot->block_base = base;
-    ++batch_blocks_run_;
-  }
+  TrialSummary summary;
+  slot->stream->run_block(trial, 1, &summary);
   ++batch_trials_run_;
-  return slot->block[static_cast<std::size_t>(trial - base)];
+  return summary;
 }
 
 }  // namespace rts::exec

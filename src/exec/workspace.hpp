@@ -95,15 +95,15 @@ class TrialWorkspace {
                                     int trial, std::uint64_t seed0,
                                     sim::Kernel::Options kernel_options = {});
 
-  /// Batched trial access: serves trial `trial` of the cell's stream from a
-  /// pooled sim::BatchStream, computing whole lane-blocks at a time and
-  /// caching the most recent block's summaries.  Blocks are aligned to
-  /// floor(trial / lanes) * lanes -- a pure function of the trial index --
-  /// so any executor order (work stealing, resume-from-checkpoint) computes
-  /// identical blocks and therefore identical bytes.  `cell_trials` bounds
-  /// the final partial block.  The factory only runs when `key` has no
-  /// batch stream yet; keys must denote one fixed cell configuration (same
-  /// contract as the scalar streams).
+  /// Batched trial access: runs exactly trial `trial` (of `cell_trials`) of
+  /// the cell's stream through a pooled sim::BatchStream and returns its
+  /// summary.  A batched trial is a pure function of its index, so any
+  /// executor order (work stealing, resume-from-checkpoint) produces
+  /// identical bytes, and no trial is ever computed twice.  `lanes` is the
+  /// executor's sim_batch_lanes knob, range-checked to
+  /// [1, sim::kMaxBatchLanes]; it does not change how the trial runs.  The
+  /// factory only runs when `key` has no batch stream yet; keys must denote
+  /// one fixed cell configuration (same contract as the scalar streams).
   TrialSummary run_le_batch_trial(std::uint64_t key,
                                   const BatchStreamFactory& factory,
                                   int lanes, int trial, int cell_trials);
@@ -111,11 +111,8 @@ class TrialWorkspace {
   /// Observability for tests and benches.
   std::size_t prepared_streams() const { return streams_.size(); }
   std::uint64_t trials_run() const { return trials_run_; }
-  /// Batched trials served and lane-blocks actually computed;
-  /// `batch_trials_run() / batch_blocks_run()` ~ lanes when the access
-  /// pattern is sequential.
+  /// Batched trials run, one per run_le_batch_trial call.
   std::uint64_t batch_trials_run() const { return batch_trials_run_; }
-  std::uint64_t batch_blocks_run() const { return batch_blocks_run_; }
   /// Stream (re)builds so far; `trials_run() - stream_builds()` trials ran
   /// allocation-free through a rewound kernel.
   std::uint64_t stream_builds() const { return stream_builds_; }
@@ -138,15 +135,10 @@ class TrialWorkspace {
     bool fresh = true;  // no trial run since (re)build: skip the rewind
   };
 
-  /// One cell's pooled batch stream plus its most recent block of
-  /// summaries; sequential trial access recomputes a block once per
-  /// `lanes` trials.
+  /// One cell's pooled batch stream.
   struct BatchSlot {
     std::uint64_t key = 0;
-    int lanes = 0;
     std::unique_ptr<sim::BatchStream> stream;
-    int block_base = -1;  // first trial of the cached block; -1 = none
-    std::vector<TrialSummary> block;
     std::uint64_t last_used = 0;
   };
 
@@ -173,7 +165,6 @@ class TrialWorkspace {
   std::uint64_t stream_builds_ = 0;
   std::uint64_t adversary_builds_ = 0;
   std::uint64_t batch_trials_run_ = 0;
-  std::uint64_t batch_blocks_run_ = 0;
 };
 
 }  // namespace rts::exec

@@ -64,7 +64,7 @@ namespace {
 
 /// Replica of one scheduler's per-trial state; which fields are live
 /// depends on BatchConfig::sched.
-struct LaneSched {
+struct SchedState {
   support::PrngSource rng{0};         // random / crash schedule stream
   support::PrngSource budget_rng{0};  // crash budgets (~seed stream)
   std::vector<std::uint64_t> budgets;  // drawn lazily, in pid order
@@ -78,25 +78,17 @@ class BatchEngine final : public BatchStream {
     RTS_REQUIRE(algo_ != nullptr, "batch engine requires a machine");
     RTS_REQUIRE(cfg_.k >= 1 && cfg_.k <= cfg_.n,
                 "need 1 <= k <= n participants");
-    cfg_.lanes = std::clamp(cfg_.lanes, 1, kMaxBatchLanes);
-    lanes_ = cfg_.lanes;
     k_ = cfg_.k;
-    num_regs_ = algo_->num_registers();
-    const auto ln = static_cast<std::size_t>(lanes_);
-    const auto lk = ln * static_cast<std::size_t>(k_);
-    values_.assign(num_regs_ * ln, 0);
-    touched_mask_.assign(num_regs_, 0);
-    touched_count_.assign(ln, 0);
-    rngs_.reserve(lk);
-    for (std::size_t i = 0; i < lk; ++i) rngs_.emplace_back(0);
-    steps_.assign(lk, 0);
-    outcomes_.assign(lk, Outcome::kUnknown);
-    crashed_.assign(lk, 0);
-    pending_.assign(lk, BatchAction{});
-    runnable_.resize(ln);
-    scheds_.resize(ln);
-    totals_.assign(ln, 0);
-    completed_.assign(ln, 1);
+    const std::size_t num_regs = algo_->num_registers();
+    const auto k = static_cast<std::size_t>(k_);
+    values_.assign(num_regs, 0);
+    touched_.assign(num_regs, 0);
+    rngs_.reserve(k);
+    for (std::size_t i = 0; i < k; ++i) rngs_.emplace_back(0);
+    steps_.assign(k, 0);
+    outcomes_.assign(k, Outcome::kUnknown);
+    crashed_.assign(k, 0);
+    pending_.assign(k, BatchAction{});
   }
 
   std::size_t declared_registers() const override {
@@ -105,77 +97,60 @@ class BatchEngine final : public BatchStream {
 
   void run_block(int first_trial, int count,
                  exec::TrialSummary* out) override {
-    RTS_REQUIRE(count >= 1 && count <= lanes_, "block exceeds lane count");
-    reset_bank();
-    std::uint64_t active = 0;
-    for (int lane = 0; lane < count; ++lane) {
-      seed_lane(lane, first_trial + lane);
-      if (!runnable_[static_cast<std::size_t>(lane)].empty()) {
-        active |= 1ULL << lane;
+    RTS_REQUIRE(count >= 0, "negative trial count");
+    for (int i = 0; i < count; ++i) {
+      seed_trial(first_trial + i);
+      bool completed = true;
+      while (!runnable_.empty()) {
+        if (total_ >= cfg_.step_limit) {
+          completed = false;  // starved, not done
+          break;
+        }
+        step();
       }
-    }
-    // Lockstep pass loop: one adversary decision per live lane per pass;
-    // retired lanes drop out of the mask and cost nothing.
-    while (active != 0) {
-      std::uint64_t live = active;
-      while (live != 0) {
-        const int lane = std::countr_zero(live);
-        live &= live - 1;
-        step_lane(lane, &active);
-      }
-    }
-    for (int lane = 0; lane < count; ++lane) {
-      summarize_lane(lane, &out[lane]);
+      summarize(completed, &out[i]);
     }
   }
 
  private:
-  /// Rewinds every register row dirtied by the previous block to its
-  /// freshly-built state (value 0, untouched) -- the batch analog of
+  /// Rewinds every register the previous trial dirtied to its freshly-built
+  /// state (value 0, untouched) -- the batch analog of
   /// SimMemory::reset_values, O(touched) instead of O(allocated).
   void reset_bank() {
-    const auto ln = static_cast<std::size_t>(lanes_);
     for (const std::uint32_t slot : dirty_slots_) {
-      std::fill_n(values_.begin() + static_cast<std::ptrdiff_t>(slot * ln),
-                  ln, 0);
-      touched_mask_[slot] = 0;
+      values_[slot] = 0;
+      touched_[slot] = 0;
     }
     dirty_slots_.clear();
-    std::fill(touched_count_.begin(), touched_count_.end(), 0u);
   }
 
-  /// Reseeds lane state for trial `trial` of the cell's stream -- exactly
+  /// Reseeds the engine for trial `trial` of the cell's stream -- exactly
   /// the scalar chain: trial_seed(seed0, t), adversary_seed(trial_seed),
   /// derive_seed(trial_seed, pid) per participant -- then runs every pid's
   /// prologue to its first announcement, in pid order (Kernel::start()).
-  void seed_lane(int lane, int trial) {
+  void seed_trial(int trial) {
     const std::uint64_t ts = trial_seed(cfg_.seed0, trial);
     const std::uint64_t as = adversary_seed(ts);
-    const std::size_t base =
-        static_cast<std::size_t>(lane) * static_cast<std::size_t>(k_);
-    LaneSched& sched = scheds_[static_cast<std::size_t>(lane)];
     switch (cfg_.sched) {
       case BatchSched::kUniformRandom:
-        sched.rng.reseed(as);
+        sched_.rng.reseed(as);
         break;
       case BatchSched::kRoundRobin:
-        sched.rr_next = 0;
+        sched_.rr_next = 0;
         break;
       case BatchSched::kSequential:
         break;
       case BatchSched::kCrashAfterOps:
-        sched.rng.reseed(as);
-        sched.budget_rng.reseed(~as);
-        sched.budgets.clear();
+        sched_.rng.reseed(as);
+        sched_.budget_rng.reseed(~as);
+        sched_.budgets.clear();
         break;
     }
-    algo_->reset_trial(lane);
-    BatchRunnableSet& run = runnable_[static_cast<std::size_t>(lane)];
-    run.assign_full(k_);
-    totals_[static_cast<std::size_t>(lane)] = 0;
-    completed_[static_cast<std::size_t>(lane)] = 1;
+    reset_bank();
+    runnable_.assign_full(k_);
+    total_ = 0;
     for (int pid = 0; pid < k_; ++pid) {
-      const std::size_t idx = base + static_cast<std::size_t>(pid);
+      const auto idx = static_cast<std::size_t>(pid);
       rngs_[idx].reseed(
           support::derive_seed(ts, static_cast<std::uint64_t>(pid)));
       steps_[idx] = 0;
@@ -183,133 +158,105 @@ class BatchEngine final : public BatchStream {
       crashed_[idx] = 0;
     }
     for (int pid = 0; pid < k_; ++pid) {
-      const std::size_t idx = base + static_cast<std::size_t>(pid);
-      const BatchAction action = algo_->start(lane, pid, rngs_[idx]);
+      const auto idx = static_cast<std::size_t>(pid);
+      const BatchAction action = algo_->start(pid, rngs_[idx]);
       if (action.kind == BatchAction::Kind::kFinish) {
         outcomes_[idx] = action.outcome;
-        run.remove(pid);
+        runnable_.remove(pid);
       } else {
         pending_[idx] = action;
       }
     }
   }
 
-  std::uint64_t crash_budget(LaneSched& sched, int pid) {
+  std::uint64_t crash_budget(int pid) {
     // Mirrors CrashAfterOpsAdversary::budget: budgets are drawn lazily in
     // pid order from the dedicated ~seed stream.
-    while (sched.budgets.size() <= static_cast<std::size_t>(pid)) {
-      sched.budgets.push_back(
+    while (sched_.budgets.size() <= static_cast<std::size_t>(pid)) {
+      sched_.budgets.push_back(
           cfg_.crash_min_ops +
-          sched.budget_rng.draw(cfg_.crash_max_ops - cfg_.crash_min_ops + 1));
+          sched_.budget_rng.draw(cfg_.crash_max_ops - cfg_.crash_min_ops +
+                                 1));
     }
-    return sched.budgets[static_cast<std::size_t>(pid)];
+    return sched_.budgets[static_cast<std::size_t>(pid)];
   }
 
-  /// One kernel-loop iteration for `lane`: the empty-runnable and
-  /// step-limit checks, one adversary decision, and its grant or crash --
-  /// in exactly Kernel::run's order.
-  void step_lane(int lane, std::uint64_t* active) {
-    const std::uint64_t lane_bit = 1ULL << lane;
-    BatchRunnableSet& run = runnable_[static_cast<std::size_t>(lane)];
-    if (run.empty()) {
-      *active &= ~lane_bit;
-      return;
-    }
-    if (totals_[static_cast<std::size_t>(lane)] >= cfg_.step_limit) {
-      completed_[static_cast<std::size_t>(lane)] = 0;  // starved, not done
-      *active &= ~lane_bit;
-      return;
-    }
-    LaneSched& sched = scheds_[static_cast<std::size_t>(lane)];
-    const std::size_t base =
-        static_cast<std::size_t>(lane) * static_cast<std::size_t>(k_);
+  /// One adversary decision and its grant or crash -- the body of
+  /// Kernel::run's loop after its empty-runnable and step-limit checks.
+  void step() {
     int pid = -1;
     bool crash = false;
     switch (cfg_.sched) {
       case BatchSched::kUniformRandom:
-        pid = run.select(static_cast<int>(
-            sched.rng.draw(static_cast<std::uint64_t>(run.count()))));
+        pid = runnable_.select(static_cast<int>(
+            sched_.rng.draw(static_cast<std::uint64_t>(runnable_.count()))));
         break;
       case BatchSched::kRoundRobin:
         for (int attempts = 0; attempts < k_; ++attempts) {
-          const int candidate = sched.rr_next;
-          sched.rr_next = (sched.rr_next + 1) % k_;
-          if (run.contains(candidate)) {
+          const int candidate = sched_.rr_next;
+          sched_.rr_next = (sched_.rr_next + 1) % k_;
+          if (runnable_.contains(candidate)) {
             pid = candidate;
             break;
           }
         }
-        if (pid < 0) pid = run.first();
+        if (pid < 0) pid = runnable_.first();
         break;
       case BatchSched::kSequential:
-        pid = run.first();
+        pid = runnable_.first();
         break;
       case BatchSched::kCrashAfterOps:
-        pid = run.select(static_cast<int>(
-            sched.rng.draw(static_cast<std::uint64_t>(run.count()))));
-        if (run.count() > 1 &&
-            steps_[base + static_cast<std::size_t>(pid)] >=
-                crash_budget(sched, pid)) {
+        pid = runnable_.select(static_cast<int>(
+            sched_.rng.draw(static_cast<std::uint64_t>(runnable_.count()))));
+        if (runnable_.count() > 1 &&
+            steps_[static_cast<std::size_t>(pid)] >= crash_budget(pid)) {
           crash = true;
         }
         break;
     }
-    const std::size_t idx = base + static_cast<std::size_t>(pid);
+    const auto idx = static_cast<std::size_t>(pid);
     if (crash) {
       crashed_[idx] = 1;
-      run.remove(pid);
-      if (run.empty()) *active &= ~lane_bit;  // completed stays true
+      runnable_.remove(pid);
       return;
     }
-    // Grant: execute the pending op against the SoA bank, then advance the
+    // Grant: execute the pending op against the bank, then advance the
     // machine to its next announcement or completion.
     const BatchAction& op = pending_[idx];
-    const std::size_t cell = static_cast<std::size_t>(op.reg) *
-                                 static_cast<std::size_t>(lanes_) +
-                             static_cast<std::size_t>(lane);
-    touch(op.reg, lane);
+    if (touched_[op.reg] == 0) {
+      touched_[op.reg] = 1;
+      dirty_slots_.push_back(op.reg);
+    }
     std::uint64_t result = 0;
     if (op.kind == BatchAction::Kind::kRead) {
-      result = values_[cell];
+      result = values_[op.reg];
     } else {
-      values_[cell] = op.value;
+      values_[op.reg] = op.value;
     }
-    ++totals_[static_cast<std::size_t>(lane)];
+    ++total_;
     ++steps_[idx];
-    const BatchAction next = algo_->resume(lane, pid, rngs_[idx], result);
+    const BatchAction next = algo_->resume(pid, rngs_[idx], result);
     if (next.kind == BatchAction::Kind::kFinish) {
       outcomes_[idx] = next.outcome;
-      run.remove(pid);
-      if (run.empty()) *active &= ~lane_bit;
+      runnable_.remove(pid);
     } else {
       pending_[idx] = next;
     }
   }
 
-  void touch(std::uint32_t reg, int lane) {
-    std::uint64_t& mask = touched_mask_[reg];
-    const std::uint64_t bit = 1ULL << lane;
-    if ((mask & bit) == 0) {
-      if (mask == 0) dirty_slots_.push_back(reg);  // first lane: needs reset
-      mask |= bit;
-      ++touched_count_[static_cast<std::size_t>(lane)];
-    }
-  }
-
-  /// Folds lane state straight into the scalar-identical TrialSummary --
-  /// the same field derivations as sim::summarize_le_trial, with the
-  /// batch-ineligible branches (aborts, RMR models) statically absent.
-  void summarize_lane(int lane, exec::TrialSummary* out) const {
+  /// Folds the trial's state straight into the scalar-identical
+  /// TrialSummary -- the same field derivations as sim::summarize_le_trial,
+  /// with the batch-ineligible branches (aborts, RMR models) statically
+  /// absent.
+  void summarize(bool completed, exec::TrialSummary* out) const {
     exec::TrialSummary summary;
     summary.backend = exec::Backend::kSim;
     summary.k = k_;
-    const std::size_t base =
-        static_cast<std::size_t>(lane) * static_cast<std::size_t>(k_);
     std::uint64_t max_steps = 0;
     int winners = 0;
     bool crash_free = true;
     for (int pid = 0; pid < k_; ++pid) {
-      const std::size_t idx = base + static_cast<std::size_t>(pid);
+      const auto idx = static_cast<std::size_t>(pid);
       max_steps = std::max(max_steps, steps_[idx]);
       if (crashed_[idx] != 0) crash_free = false;
       switch (outcomes_[idx]) {
@@ -325,11 +272,11 @@ class BatchEngine final : public BatchStream {
       }
     }
     summary.max_steps = max_steps;
-    summary.total_steps = totals_[static_cast<std::size_t>(lane)];
-    summary.regs_touched = touched_count_[static_cast<std::size_t>(lane)];
+    summary.total_steps = total_;
+    summary.regs_touched = dirty_slots_.size();
     summary.declared_registers = algo_->declared_registers();
     summary.crash_free = crash_free;
-    summary.completed = completed_[static_cast<std::size_t>(lane)] != 0;
+    summary.completed = completed;
     summary.latency = max_steps;
     if (winners > 1) {
       summary.first_violation =
@@ -343,29 +290,23 @@ class BatchEngine final : public BatchStream {
 
   BatchConfig cfg_;
   std::unique_ptr<BatchAlgorithm> algo_;
-  int lanes_ = 0;
   int k_ = 0;
-  std::size_t num_regs_ = 0;
 
-  // Structure-of-arrays register bank: slot-major, lane-minor, so the
-  // lanes of one register sit in adjacent words.
-  std::vector<std::uint64_t> values_;        // num_regs * lanes
-  std::vector<std::uint64_t> touched_mask_;  // per slot, one bit per lane
-  std::vector<std::uint32_t> dirty_slots_;   // slots any lane touched
-  std::vector<std::uint32_t> touched_count_; // per lane: distinct slots
+  // Register bank: one word per slot, plus the slots this trial touched.
+  std::vector<std::uint64_t> values_;
+  std::vector<std::uint8_t> touched_;
+  std::vector<std::uint32_t> dirty_slots_;
 
-  // Per (lane, pid) machine plumbing, lane-major.
+  // Per-pid machine plumbing.
   std::vector<support::PrngSource> rngs_;
   std::vector<std::uint64_t> steps_;
   std::vector<Outcome> outcomes_;
   std::vector<std::uint8_t> crashed_;
   std::vector<BatchAction> pending_;
 
-  // Per lane.
-  std::vector<BatchRunnableSet> runnable_;
-  std::vector<LaneSched> scheds_;
-  std::vector<std::uint64_t> totals_;
-  std::vector<std::uint8_t> completed_;
+  BatchRunnableSet runnable_;
+  SchedState sched_;
+  std::uint64_t total_ = 0;
 };
 
 }  // namespace

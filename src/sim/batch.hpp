@@ -1,15 +1,17 @@
-// Batched structure-of-arrays trial engine: B same-cell trials in lockstep.
+// Batched trial engine: a cell's trials run one after another through
+// explicit state machines instead of fibers.
 //
-// The scalar trial path (sim::Kernel + fibers) advances one trial at a time
-// and pays, per step, a fiber round-trip plus a cached-runnable-set rebuild
-// whenever a process finishes (O(k) per finish, O(k^2) per trial).  The
-// batch engine removes both: algorithms run as explicit state machines (no
-// fibers), register values live in a flat structure-of-arrays bank (one
-// 64-bit lane per in-flight trial per register slot), and the runnable set
-// is a per-lane bitset with a Fenwick popcount index (O(log(k/64))
-// select/remove instead of O(k) rebuilds).  A per-lane active mask retires
-// finished, crashed, and step-limit-starved trials without divergent
-// control flow in the pass loop.
+// The scalar trial path (sim::Kernel + fibers) pays, per step, a fiber
+// round-trip plus a cached-runnable-set rebuild whenever a process finishes
+// (O(k) per finish, O(k^2) per trial).  The batch engine removes both:
+// algorithms run as explicit state machines (no fibers), register values
+// live in one flat bank of 64-bit words with a dirty-slot list (reset costs
+// O(touched), not O(allocated)), and the runnable set is a bitset with a
+// Fenwick popcount index (O(log(k/64)) select/remove instead of O(k)
+// rebuilds).  The engine holds exactly one trial's state -- one bank, one
+// runnable set, one scheduler replica, per-pid arrays of size k -- so its
+// working set is that of a single trial and any trial can be computed on
+// its own, in any order.
 //
 // Determinism contract (enforced by tests/test_batch_invariance.cpp and the
 // CI batch-invariance job): for every *eligible* cell the engine reproduces
@@ -25,8 +27,7 @@
 // budget draws), and each machine replicates its algorithm's shared-memory
 // op sequence and per-pid draw order exactly.  Trials are seeded by the
 // same sim::trial_seed / sim::adversary_seed / derive_seed(seed, pid)
-// chains as the scalar paths, so batching can never change a result --
-// only how many trials are in flight at once.
+// chains as the scalar paths, so the engine can never change a result.
 #pragma once
 
 #include <cstdint>
@@ -78,11 +79,11 @@ struct BatchAction {
   }
 };
 
-/// A batched algorithm: explicit state machines for every (lane, pid),
-/// advanced one granted operation at a time.  Implementations live next to
-/// the algorithms they mirror (algo/batch_machines.hpp); each must
-/// reproduce the scalar algorithm's op sequence and per-pid PRNG draw order
-/// exactly -- that is the whole bitwise-invariance contract.
+/// A batched algorithm: an explicit state machine per pid, advanced one
+/// granted operation at a time.  Implementations live next to the
+/// algorithms they mirror (algo/batch.cpp); each must reproduce the scalar
+/// algorithm's op sequence and per-pid PRNG draw order exactly -- that is
+/// the whole bitwise-invariance contract.
 class BatchAlgorithm {
  public:
   virtual ~BatchAlgorithm() = default;
@@ -93,15 +94,13 @@ class BatchAlgorithm {
   /// materialized structures declare their full size).
   virtual std::size_t declared_registers() const = 0;
 
-  /// Re-initializes every pid's machine state of `lane` for a fresh trial
-  /// (the batch analog of Kernel::rewind + ILeaderElect::reset_trial_state).
-  virtual void reset_trial(int lane) = 0;
-  /// Runs (lane, pid)'s prologue to its first announcement -- the batch
-  /// analog of SimProcess::start().  May draw from `rng`.
-  virtual BatchAction start(int lane, int pid, support::PrngSource& rng) = 0;
+  /// Re-initializes `pid`'s machine state for a fresh trial and runs its
+  /// prologue to the first announcement -- the batch analog of
+  /// Kernel::rewind + SimProcess::start().  May draw from `rng`.
+  virtual BatchAction start(int pid, support::PrngSource& rng) = 0;
   /// Delivers the granted op's result and runs local code to the next
   /// announcement or completion -- the analog of resume_with_result().
-  virtual BatchAction resume(int lane, int pid, support::PrngSource& rng,
+  virtual BatchAction resume(int pid, support::PrngSource& rng,
                              std::uint64_t result) = 0;
 };
 
@@ -109,7 +108,6 @@ class BatchAlgorithm {
 struct BatchConfig {
   int n = 0;      ///< capacity the object is built for
   int k = 0;      ///< participants per trial (pids 0..k-1)
-  int lanes = 0;  ///< trials in flight per block; clamped to [1, 64]
   std::uint64_t seed0 = 0;       ///< cell's base seed (sim::trial_seed chain)
   std::uint64_t step_limit = 0;  ///< Kernel::Options::step_limit equivalent
   BatchSched sched = BatchSched::kUniformRandom;
@@ -118,9 +116,10 @@ struct BatchConfig {
   std::uint64_t crash_max_ops = 24;
 };
 
-/// A pooled batched trial stream: built once per cell, reseeded per block.
+/// A pooled batched trial stream: built once per cell, reseeded per trial.
 /// run_block computes trials [first_trial, first_trial + count) of the
-/// cell's seed stream and writes one scalar-identical summary per trial.
+/// cell's seed stream, one after another, and writes one scalar-identical
+/// summary per trial.  Each trial is a pure function of its index.
 class BatchStream {
  public:
   virtual ~BatchStream() = default;
@@ -129,10 +128,11 @@ class BatchStream {
   virtual std::size_t declared_registers() const = 0;
 };
 
-inline constexpr int kMaxBatchLanes = 64;  // one bit per lane in the bank mask
+/// Upper bound of ExecutorOptions::sim_batch_lanes / `--batch N`.  N > 0
+/// only selects the batch engine; no lane count changes how it runs.
+inline constexpr int kMaxBatchLanes = 64;
 
-/// Builds the engine for a machine + config.  `count` per block must be
-/// <= min(lanes, 64).
+/// Builds the engine for a machine + config.
 std::unique_ptr<BatchStream> make_batch_stream(
     std::unique_ptr<BatchAlgorithm> algorithm, const BatchConfig& config);
 

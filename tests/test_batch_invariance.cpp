@@ -5,8 +5,9 @@
 // that keeps fresh and pooled kernels interchangeable.  These tests
 // byte-compare the checkpoint codec serialization of both paths across the
 // eligible catalogue (including crashing schedules and step-limit-starved
-// lanes), check that ineligible pairs refuse a stream, and property-test
-// the SoA bank reset and the Fenwick-indexed runnable set.
+// trials), check that ineligible pairs refuse a stream, that any trial
+// order yields the same summaries, and property-test the register-bank
+// reset and the Fenwick-indexed runnable set.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -127,8 +128,8 @@ TEST(BatchInvariance, BatchedMatchesScalarAcrossEligibleCatalogue) {
 }
 
 TEST(BatchInvariance, LaneCountNeverChangesResults) {
-  // Batching is a throughput knob, not a semantic one: lanes=1 and
-  // lanes=64 must produce the bytes lanes=8 produced above.
+  // The lane argument is a range-checked knob, not a semantic one: lanes=1
+  // and lanes=64 must produce the bytes lanes=8 produced above.
   constexpr int kTrials = 9;
   sim::Kernel::Options options;
   for (const algo::AlgorithmId algorithm :
@@ -149,7 +150,7 @@ TEST(BatchInvariance, LaneCountNeverChangesResults) {
 }
 
 TEST(BatchInvariance, WideCellsCrossTheRunnableWordBoundary) {
-  // k > 64 exercises the multi-word bitset + Fenwick select in the lane
+  // k > 64 exercises the multi-word bitset + Fenwick select in the
   // scheduler; crash cells retire pids from the middle of both words.
   for (const algo::AdversaryId adversary :
        {algo::AdversaryId::kUniformRandom, algo::AdversaryId::kCrashAfterOps,
@@ -162,8 +163,8 @@ TEST(BatchInvariance, WideCellsCrossTheRunnableWordBoundary) {
 
 TEST(BatchInvariance, StarvedLanesRetireEarlyAndIdentically) {
   // A tiny step limit starves most trials (completed=false, unfinished>0);
-  // retired lanes must fold into exactly the scalar path's starved
-  // summaries, and their early exit must not disturb sibling lanes.
+  // they must fold into exactly the scalar path's starved summaries, and
+  // their early exit must not disturb the trials after them.
   for (const algo::AlgorithmId algorithm :
        {algo::AlgorithmId::kLogStarChain, algo::AlgorithmId::kSiftCascade,
         algo::AlgorithmId::kRatRacePath}) {
@@ -203,8 +204,8 @@ TEST(BatchInvariance, IneligiblePairsRefuseAStream) {
 }
 
 TEST(BatchInvariance, BlocksAreAPureFunctionOfTheirTrialRange) {
-  // Work-stealing executors may run blocks out of order and recompute a
-  // block after others have dirtied the bank: byte-identical either way.
+  // Work-stealing executors may run trials out of order, after others have
+  // dirtied the bank: byte-identical either way.
   auto stream = algo::make_batch_stream(
       algo::AlgorithmId::kSiftChain, algo::AdversaryId::kCrashAfterOps,
       /*n=*/16, /*k=*/16, /*lanes=*/8, kSeed0, /*step_limit=*/10'000'000);
@@ -228,13 +229,85 @@ TEST(BatchInvariance, BlocksAreAPureFunctionOfTheirTrialRange) {
     ASSERT_EQ(summary_bytes(forward[static_cast<std::size_t>(trial)]),
               summary_bytes(reversed[static_cast<std::size_t>(trial)]))
         << trial;
-    // Partial blocks place each trial in a different lane slot than the
-    // full-width run -- identical bytes prove the SoA bank reset and lane
-    // renumbering leak nothing between blocks.
+    // Blocks of another size put different trials before each trial --
+    // identical bytes prove the bank reset leaks nothing between trials.
     ASSERT_EQ(summary_bytes(forward[static_cast<std::size_t>(trial)]),
               summary_bytes(partial[static_cast<std::size_t>(trial)]))
         << trial;
   }
+}
+
+TEST(BatchInvariance, WorkspaceServesTrialsInAnyOrder) {
+  // TrialWorkspace::run_le_batch_trial runs exactly the requested trial, so
+  // the order an executor asks in -- reversed, stolen half-slices, or
+  // round-robin over more cells than the LRU keeps (evict + rebuild) --
+  // must never change a summary, and every call runs one trial.
+  struct Cell {
+    algo::AlgorithmId algorithm;
+    algo::AdversaryId adversary;
+    int k;
+  };
+  const std::vector<Cell> cells = {
+      {algo::AlgorithmId::kLogStarChain, algo::AdversaryId::kUniformRandom, 9},
+      {algo::AlgorithmId::kRatRacePath, algo::AdversaryId::kCrashAfterOps, 6},
+      {algo::AlgorithmId::kCombinedSift, algo::AdversaryId::kRoundRobin, 5},
+  };
+  constexpr int kTrials = 10;
+  constexpr std::uint64_t kStepLimit = 10'000'000;
+  std::vector<std::vector<std::string>> expected;
+  for (const Cell& cell : cells) {
+    sim::Kernel::Options options;
+    options.step_limit = kStepLimit;
+    exec::TrialWorkspace scalar;
+    const sim::LeBuilder builder = algo::sim_builder(cell.algorithm);
+    const sim::AdversaryFactory factory =
+        algo::adversary_factory(cell.adversary);
+    std::vector<std::string> bytes;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      bytes.push_back(summary_bytes(scalar.run_le_trial_summary(
+          /*key=*/0, builder, cell.k, cell.k, factory, trial, kSeed0,
+          options)));
+    }
+    expected.push_back(std::move(bytes));
+  }
+
+  int builds = 0;
+  exec::TrialWorkspace::Options ws_options;
+  ws_options.max_prepared = cells.size() - 1;  // round-robin always evicts
+  exec::TrialWorkspace workspace(ws_options);
+  std::uint64_t calls = 0;
+  const auto check = [&](std::size_t c, int trial) {
+    const Cell& cell = cells[c];
+    const exec::BatchStreamFactory factory = [&cell, &builds] {
+      ++builds;
+      return algo::make_batch_stream(cell.algorithm, cell.adversary, cell.k,
+                                     cell.k, /*lanes=*/32, kSeed0,
+                                     kStepLimit);
+    };
+    const exec::TrialSummary got = workspace.run_le_batch_trial(
+        static_cast<std::uint64_t>(c), factory, /*lanes=*/32, trial, kTrials);
+    ++calls;
+    ASSERT_EQ(summary_bytes(got),
+              expected[c][static_cast<std::size_t>(trial)])
+        << algo::info(cell.algorithm).name << " trial " << trial;
+  };
+
+  // Reverse order on one cell.
+  for (int trial = kTrials - 1; trial >= 0; --trial) check(0, trial);
+  // Two interleaved half-slices, as when a second worker steals the back
+  // half of a cell's trials.
+  for (int i = 0; i < kTrials / 2; ++i) {
+    check(1, i);
+    check(1, kTrials / 2 + i);
+  }
+  EXPECT_EQ(builds, 2);
+  // Round-robin across more cell keys than the LRU holds: every switch
+  // evicts a stream and the next visit rebuilds it.
+  for (int trial = 0; trial < kTrials; ++trial) {
+    for (std::size_t c = 0; c < cells.size(); ++c) check(c, trial);
+  }
+  EXPECT_GT(builds, static_cast<int>(cells.size()));
+  EXPECT_EQ(workspace.batch_trials_run(), calls);
 }
 
 TEST(BatchInvariance, DirectToSummaryMatchesTheComposedScalarPath) {

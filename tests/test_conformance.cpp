@@ -14,10 +14,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "algo/registry.hpp"
+#include "campaign/cli.hpp"
 #include "campaign/executor.hpp"
 #include "campaign/reporter.hpp"
 #include "exec/conformance.hpp"
@@ -224,6 +227,76 @@ TEST(RecordReplayCampaign, ReporterBytesAreBitwiseIdentical) {
   ASSERT_FALSE(poisoned.cells[0].first_errors.empty());
   EXPECT_NE(poisoned.cells[0].first_errors[0].find("replay mismatch"),
             std::string::npos);
+
+  std::filesystem::remove_all(dir);
+}
+
+int run_rts_bench(std::vector<std::string> args) {
+  args.insert(args.begin(), "rts_bench");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  return campaign::run_cli(static_cast<int>(args.size()), argv.data());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(RecordReplayCampaign, ErroredTrialsReportTheirReasons) {
+  // A replay whose recorded digest was altered errors exactly one trial.
+  // The reason must reach the jsonl (`errors`), the table (an error column
+  // that appears only then), and rts_bench's exit status; the unaltered
+  // run keeps its error-free bytes and exits 0.
+  const std::string dir = fresh_temp_dir("errored-trials");
+  const std::vector<std::string> grid = {"--algos", "logstar", "--ks", "4",
+                                         "--trials", "3", "--seed", "31",
+                                         "--quiet", "--format", "csv"};
+  std::vector<std::string> record = grid;
+  record.insert(record.end(), {"--record", dir + "/rec", "--json",
+                               dir + "/clean.jsonl"});
+  ASSERT_EQ(run_rts_bench(record), 0);
+  const std::string clean = read_file(dir + "/clean.jsonl");
+  EXPECT_NE(clean.find("\"error_runs\":0,"), std::string::npos);
+  EXPECT_EQ(clean.find("\"errors\""), std::string::npos);
+
+  sim::CellTrace cell;
+  std::string error;
+  const std::string cell0 =
+      dir + "/rec/adhoc/" + sim::cell_trace_filename(0);
+  ASSERT_TRUE(sim::read_cell_trace_file(cell0, &cell, &error)) << error;
+  cell.trials[1].max_steps += 1;
+  ASSERT_TRUE(sim::write_cell_trace_file(cell0, cell, &error)) << error;
+
+  std::vector<std::string> replay = grid;
+  replay.insert(replay.end(), {"--replay", dir + "/rec", "--json",
+                               dir + "/poisoned.jsonl"});
+  EXPECT_EQ(run_rts_bench(replay), campaign::kExitErroredTrials);
+  const std::string poisoned = read_file(dir + "/poisoned.jsonl");
+  const std::size_t errors =
+      poisoned.find("\"error_runs\":1,\"errors\":[\"");
+  ASSERT_NE(errors, std::string::npos) << poisoned;
+  EXPECT_NE(poisoned.find("replay mismatch", errors), std::string::npos);
+
+  campaign::CampaignSpec spec;
+  spec.name = "adhoc";
+  spec.algorithms = {algo::AlgorithmId::kLogStarChain};
+  spec.adversaries = {algo::AdversaryId::kUniformRandom};
+  spec.ks = {4};
+  spec.trials = 3;
+  spec.seed = 31;
+  campaign::ExecutorOptions options;
+  options.replay_dir = dir + "/rec/adhoc";
+  const std::string table = campaign::render_to_string(
+      campaign::run_campaign(spec, options), campaign::ReportFormat::kTable);
+  EXPECT_NE(table.find("first error"), std::string::npos) << table;
+  EXPECT_NE(table.find("replay mismatch"), std::string::npos) << table;
+  const std::string clean_table = campaign::render_to_string(
+      campaign::run_campaign(spec), campaign::ReportFormat::kTable);
+  EXPECT_EQ(clean_table.find("first error"), std::string::npos);
 
   std::filesystem::remove_all(dir);
 }

@@ -265,7 +265,9 @@ TEST(ShardedSoak, MergedViewEqualsThePerShardFold) {
   // Outcome bookkeeping: every arrival the dispatcher handled is in
   // exactly one bucket, latency samples come from completions only.
   EXPECT_EQ(result.latency.count(), result.completed);
-  EXPECT_LE(result.completed + result.timed_out + result.shed, result.planned);
+  // Not interrupted: every planned arrival was dispatched.
+  EXPECT_FALSE(result.interrupted);
+  EXPECT_EQ(result.completed + result.timed_out + result.shed, result.planned);
   std::uint64_t completed = 0, dispatched = 0, shed = 0;
   telemetry::LatencyHistogram refold;
   for (const ShardStats& shard : result.shard_stats) {
