@@ -46,6 +46,21 @@ std::string json_escape(std::string_view text) {
   return out;
 }
 
+/// RFC 4180 field: quoted (inner quotes doubled) only when it holds a comma,
+/// a quote, or a line break; anything else is written as is.
+std::string csv_field(std::string_view text) {
+  if (text.find_first_of(",\"\r\n") == std::string_view::npos) {
+    return std::string(text);
+  }
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"') out.push_back('"');
+    out.push_back(c);
+  }
+  out.push_back('"');
+  return out;
+}
+
 void print_summary_json(std::FILE* out, const char* key,
                         const support::Accumulator& acc) {
   const support::Summary s = support::summarize(acc);
@@ -100,8 +115,9 @@ void print_backends_json(std::FILE* out, const CampaignSpec& spec) {
   std::fputc(']', out);
 }
 
-/// Whether any cell has an errored trial; the error column and the jsonl
-/// `errors` list appear only then, so error-free output keeps its bytes.
+/// Whether any cell has an errored trial; the table's error columns, the
+/// csv `first_error` column and the jsonl `errors` list appear only then,
+/// so error-free output keeps its bytes.
 bool any_errors(const CampaignResult& result) {
   for (const CellResult& cell : result.cells) {
     if (cell.error_runs > 0) return true;
@@ -376,13 +392,14 @@ void report_csv(const CampaignResult& result, std::FILE* out,
                 bool force_extended, bool force_rmr) {
   const bool extended = force_extended || extended_schema(result.spec);
   const bool rmr = force_rmr || rmr_schema(result.spec);
+  const bool errors = any_errors(result);
   std::fprintf(out,
                "campaign,%salgorithm,adversary,n,k,trials_run,seed0,"
                "declared_registers,max_steps_mean,max_steps_ci95,"
                "max_steps_p50,max_steps_p95,max_steps_max,mean_steps_mean,"
                "total_steps_mean,regs_touched_mean,violation_runs,"
                "incomplete_runs,error_runs,latency_unit,latency_p50,"
-               "latency_p90,latency_p99,latency_p999,latency_max%s%s\n",
+               "latency_p90,latency_p99,latency_p999,latency_max%s%s%s\n",
                extended ? "backend," : "",
                extended ? ",crashed_runs,unfinished_mean,wall_seconds_mean,"
                           "perf_samples,perf_cycles,perf_instructions,"
@@ -392,7 +409,10 @@ void report_csv(const CampaignResult& result, std::FILE* out,
                // both the historical and the extended layouts.
                rmr ? ",rmr,rmr_total_mean,rmr_total_max,rmr_max_mean,"
                      "aborted_runs"
-                   : "");
+                   : "",
+               // Last of all, and only when some trial errored, so
+               // error-free csv keeps its bytes.
+               errors ? ",first_error" : "");
   for (const CellResult& cell : result.cells) {
     const support::Summary max_steps = support::summarize(cell.agg.max_steps);
     std::fprintf(out, "%s,", result.spec.name.c_str());
@@ -445,6 +465,12 @@ void report_csv(const CampaignResult& result, std::FILE* out,
                    fmt_double(cell.agg.rmr_total.max()).c_str(),
                    fmt_double(cell.agg.rmr_max.mean()).c_str(),
                    cell.agg.aborted_runs);
+    }
+    if (errors) {
+      std::fprintf(out, ",%s",
+                   cell.first_errors.empty()
+                       ? ""
+                       : csv_field(cell.first_errors.front()).c_str());
     }
     std::fputc('\n', out);
   }

@@ -14,8 +14,14 @@ namespace {
 /// 128 KB default: algorithm frames are shallow (all elections are
 /// iterative; combiner children bring their own stacks), and with hundreds
 /// of fibers per stream the denser footprint measurably cuts the
-/// stack-switch cache traffic of the random adversary.  The guard page
-/// still faults deterministically on overflow.
+/// stack-switch cache traffic of the random adversary.  Each fiber's first
+/// frame starts its mapping's cache color below the top
+/// (fiber::MmapStack::colored_top): a stream's k stacks, mapped in a row,
+/// cycle through 32 colors, so their hot top frames spread over 2 KB of L1
+/// set space instead of aliasing on one page offset.  The color is capped
+/// below 2 KB (at most 1984 B), which leaves the frames ample room in
+/// 16 KB and keeps the top frames on one page.  The guard page still
+/// faults deterministically on overflow.
 constexpr std::size_t kWorkspaceStackBytes = 16 * 1024;
 
 bool same_options(const sim::Kernel::Options& a, const sim::Kernel::Options& b) {

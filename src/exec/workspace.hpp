@@ -11,7 +11,8 @@
 //   * the Kernel's processes -- fibers on adopted pool stacks, bodies, rng
 //     slots -- are constructed once and rewound to their entry points,
 //   * the algorithm instance (and its interned register layout in
-//     sim::SimMemory) is built once; registers are value-reset per trial,
+//     sim::SimMemory) is built once; the registers a trial touched are
+//     value-reset per trial (a dirty list, not a sweep of the layout),
 //   * randomness comes from reseedable support::PrngSource slots instead of
 //     a fresh heap allocation per process per trial.
 //

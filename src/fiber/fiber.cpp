@@ -105,9 +105,8 @@ void Fiber::seed_stack() {
   asan_reset_stack();
   // Seed the stack so the first switch "returns" into rts_fctx_boot with
   // this Fiber* in r15.  Layout (addresses descending from the 16-aligned
-  // stack top): [pad][pad][&boot][rbp][rbx][r12][r13][r14][r15=this].
-  auto* top = reinterpret_cast<std::uint64_t*>(
-      static_cast<char*>(stack().base()) + stack().size());
+  // colored top): [pad][pad][&boot][rbp][rbx][r12][r13][r14][r15=this].
+  auto* top = reinterpret_cast<std::uint64_t*>(stack().colored_top());
   RTS_ASSERT((reinterpret_cast<std::uintptr_t>(top) & 15u) == 0);
   std::uint64_t* sp = top;
   *--sp = 0;                                              // padding
@@ -129,7 +128,8 @@ void Fiber::seed_stack() {
   const int rc = ::getcontext(&uc_);
   RTS_ASSERT_MSG(rc == 0, "getcontext failed");
   uc_.uc_stack.ss_sp = stack().base();
-  uc_.uc_stack.ss_size = stack().size();
+  uc_.uc_stack.ss_size = static_cast<std::size_t>(
+      stack().colored_top() - static_cast<char*>(stack().base()));
   uc_.uc_link = nullptr;  // returns are routed through the trampoline instead
   // makecontext only passes ints; split the this-pointer into two 32-bit
   // halves (the portable idiom).

@@ -21,6 +21,15 @@ std::size_t page_size() {
 // Atomic: stacks are mapped and released from campaign worker threads and hw
 // participant threads alike.
 std::atomic<std::size_t> live_stacks{0};
+
+// Cache colors (see MmapStack::colored_top): 32 offsets 64 B apart.
+constexpr std::size_t kStackColors = 32;
+constexpr std::size_t kStackColorBytes = 64;
+
+std::size_t next_color_bytes() {
+  thread_local std::size_t mapped = 0;
+  return mapped++ % kStackColors * kStackColorBytes;
+}
 }  // namespace
 
 MmapStack::MmapStack(std::size_t usable_bytes) {
@@ -39,6 +48,7 @@ MmapStack::MmapStack(std::size_t usable_bytes) {
     throw Error("MmapStack: mprotect(guard) failed");
   }
   usable_ = static_cast<char*>(mapping_) + page;
+  color_bytes_ = next_color_bytes();
 }
 
 MmapStack::~MmapStack() { release(); }
@@ -47,7 +57,8 @@ MmapStack::MmapStack(MmapStack&& other) noexcept
     : mapping_(std::exchange(other.mapping_, nullptr)),
       mapping_bytes_(std::exchange(other.mapping_bytes_, 0)),
       usable_(std::exchange(other.usable_, nullptr)),
-      usable_bytes_(std::exchange(other.usable_bytes_, 0)) {}
+      usable_bytes_(std::exchange(other.usable_bytes_, 0)),
+      color_bytes_(std::exchange(other.color_bytes_, 0)) {}
 
 MmapStack& MmapStack::operator=(MmapStack&& other) noexcept {
   if (this != &other) {
@@ -56,6 +67,7 @@ MmapStack& MmapStack::operator=(MmapStack&& other) noexcept {
     mapping_bytes_ = std::exchange(other.mapping_bytes_, 0);
     usable_ = std::exchange(other.usable_, nullptr);
     usable_bytes_ = std::exchange(other.usable_bytes_, 0);
+    color_bytes_ = std::exchange(other.color_bytes_, 0);
   }
   return *this;
 }

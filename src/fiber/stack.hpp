@@ -26,6 +26,20 @@ class MmapStack {
   void* base() const { return usable_; }
   std::size_t size() const { return usable_bytes_; }
 
+  /// Where a fiber's first frame starts: the usable top lowered by this
+  /// mapping's cache color, a multiple of 64 B below 2 KB (so the top stays
+  /// 16-byte aligned).  Without it every stack's hot top-of-stack frames
+  /// sit at the same offset within a 4 KB page and compete for the same L1
+  /// sets whenever a scheduler hops between fibers.  Colors cycle through
+  /// 32 values in the order a thread maps its stacks, so any 32 stacks one
+  /// thread mapped in a row spread over 2 KB of set space whatever their
+  /// addresses.  The color is fixed for the mapping's life: a rewound or
+  /// pooled stack keeps it.  Keep the cap at 2 KB: larger offsets push the
+  /// top frames into a second page and raise RSS.
+  char* colored_top() const {
+    return static_cast<char*>(usable_) + usable_bytes_ - color_bytes_;
+  }
+
  private:
   void release() noexcept;
 
@@ -33,6 +47,7 @@ class MmapStack {
   std::size_t mapping_bytes_ = 0;
   void* usable_ = nullptr;
   std::size_t usable_bytes_ = 0;
+  std::size_t color_bytes_ = 0;
 };
 
 /// Thread-local stack recycling.  The model checker constructs and destroys

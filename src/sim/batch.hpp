@@ -1,17 +1,17 @@
 // Batched trial engine: a cell's trials run one after another through
 // explicit state machines instead of fibers.
 //
-// The scalar trial path (sim::Kernel + fibers) pays, per step, a fiber
-// round-trip plus a cached-runnable-set rebuild whenever a process finishes
-// (O(k) per finish, O(k^2) per trial).  The batch engine removes both:
-// algorithms run as explicit state machines (no fibers), register values
-// live in one flat bank of 64-bit words with a dirty-slot list (reset costs
-// O(touched), not O(allocated)), and the runnable set is a bitset with a
-// Fenwick popcount index (O(log(k/64)) select/remove instead of O(k)
-// rebuilds).  The engine holds exactly one trial's state -- one bank, one
-// runnable set, one scheduler replica, per-pid arrays of size k -- so its
-// working set is that of a single trial and any trial can be computed on
-// its own, in any order.
+// The scalar trial path (sim::Kernel + fibers) already pays per step and per
+// touched register (an exact runnable vector, a dirty-slot register reset),
+// but every step is a fiber round-trip through a k-fiber working set of
+// stacks, and every register is a 48-byte accounting slot.  The batch
+// engine removes both: algorithms run as explicit state machines (no
+// fibers), register values live in one flat bank of 64-bit words with a
+// dirty-slot list, and the runnable set is a bitset with a Fenwick popcount
+// index (O(log(k/64)) select/remove).  The engine holds exactly one trial's
+// state -- one bank, one runnable set, one scheduler replica, per-pid
+// arrays of size k -- so its working set is that of a single trial and any
+// trial can be computed on its own, in any order.
 //
 // Determinism contract (enforced by tests/test_batch_invariance.cpp and the
 // CI batch-invariance job): for every *eligible* cell the engine reproduces
@@ -138,8 +138,10 @@ std::unique_ptr<BatchStream> make_batch_stream(
 
 /// Pid-ordered runnable set over [0, k): a bitset with a Fenwick popcount
 /// index, giving O(log(k/64)) select-ith-smallest and remove -- the batch
-/// replacement for the kernel's O(k) cached-runnable rebuild.  Exposed for
-/// the property tests.
+/// engine's counterpart of the kernel's sorted runnable vector (which keeps
+/// a plain vector because its uniform-random pick is one index, while a
+/// Fenwick select would run on every step).  Exposed for the property
+/// tests.
 class BatchRunnableSet {
  public:
   void assign_full(int k);  // all of 0..k-1 runnable

@@ -1,5 +1,7 @@
 #include "sim/kernel.hpp"
 
+#include <algorithm>
+
 #include "sim/adversary.hpp"
 #include "support/assert.hpp"
 
@@ -33,8 +35,14 @@ void Kernel::start() {
     rmr_.configure(options_.rmr_model, num_processes());
     memory_.set_rmr_counter(&rmr_);
   }
-  for (auto& proc : processes_) proc->start();
-  runnable_dirty_ = true;
+  for (auto& proc : processes_) {
+    if (proc->state() == SimProcess::State::kUnstarted) proc->start();
+  }
+  // Built after the prologues: a process that finished there never runs.
+  runnable_.reserve(processes_.size());
+  for (const auto& proc : processes_) {
+    if (proc->runnable()) runnable_.push_back(proc->pid());
+  }
 }
 
 void Kernel::rewind() {
@@ -45,7 +53,7 @@ void Kernel::rewind() {
   memory_.reset_values();
   rmr_.reset();
   for (auto& proc : processes_) proc->rewind();
-  runnable_dirty_ = true;
+  runnable_.clear();
 }
 
 const SimProcess& Kernel::process(int pid) const {
@@ -62,16 +70,10 @@ std::vector<int> Kernel::runnable_pids() const {
   return out;
 }
 
-const std::vector<int>& Kernel::runnable_pids_cached() const {
-  if (runnable_dirty_) {
-    runnable_cache_.clear();
-    runnable_cache_.reserve(processes_.size());
-    for (const auto& proc : processes_) {
-      if (proc->runnable()) runnable_cache_.push_back(proc->pid());
-    }
-    runnable_dirty_ = false;
-  }
-  return runnable_cache_;
+void Kernel::erase_runnable(int pid) {
+  // Absent only for a pid crashed before start(): the set is not built yet.
+  const auto it = std::lower_bound(runnable_.begin(), runnable_.end(), pid);
+  if (it != runnable_.end() && *it == pid) runnable_.erase(it);
 }
 
 bool Kernel::all_done() const {
@@ -121,7 +123,7 @@ void Kernel::grant(int pid) {
   proc.resume_with_result(result);
   // A granted process either announced again (still runnable) or finished;
   // only the latter changes the runnable set.
-  if (proc.state() != SimProcess::State::kReady) runnable_dirty_ = true;
+  if (proc.state() != SimProcess::State::kReady) erase_runnable(pid);
 }
 
 void Kernel::crash(int pid) {
@@ -131,7 +133,7 @@ void Kernel::crash(int pid) {
                      proc.state() == SimProcess::State::kUnstarted,
                  "crash of a process that already finished or crashed");
   proc.crash();
-  runnable_dirty_ = true;
+  erase_runnable(pid);
 }
 
 void Kernel::abort_request(int pid) {
@@ -153,7 +155,7 @@ bool Kernel::run(Adversary& adversary) {
   if (!started_) start();
   const AdversaryClass clazz = adversary.clazz();  // hoisted virtual call
   // Post-start() no process is kUnstarted, so "all done" is exactly "the
-  // runnable set is empty" -- and the cached set makes that O(1) per step.
+  // runnable set is empty" -- and the exact set makes that O(1) per step.
   while (!runnable_pids_cached().empty()) {
     if (total_steps_ >= options_.step_limit) return false;
     KernelView view(*this, clazz);

@@ -51,6 +51,7 @@ class Kernel {
                   fiber::MmapStack stack);
 
   /// Runs every process's prologue up to its first pending-op announcement.
+  /// A process crashed before start() never runs its prologue.
   void start();
   bool started() const { return started_; }
 
@@ -72,12 +73,13 @@ class Kernel {
 
   /// All pids currently announcing a pending op, in pid order.
   std::vector<int> runnable_pids() const;
-  /// Allocation-free variant for the per-step scheduling loop: a cached
-  /// pid-ordered runnable set, rebuilt only when membership can have changed
-  /// (a process finished, crashed, started, or the kernel rewound) rather
-  /// than on every step.  Invalidated by any kernel mutation; do not hold
-  /// the reference across grant()/crash().
-  const std::vector<int>& runnable_pids_cached() const;
+  /// Allocation-free variant for the per-step scheduling loop: the kernel's
+  /// pid-ordered runnable set, kept exact at all times.  start() builds it
+  /// once after the prologues; a finish or crash erases one pid (binary
+  /// search), so a trial pays O(k) per finish in memmove at worst and never
+  /// rescans the processes.  Mutated by grant()/crash()/rewind(); do not
+  /// hold the reference across them.
+  const std::vector<int>& runnable_pids_cached() const { return runnable_; }
   bool all_done() const;
 
   /// Executes pid's pending op and resumes it until the next announcement or
@@ -115,6 +117,8 @@ class Kernel {
   friend class SimProcess;
   friend class Context;
 
+  void erase_runnable(int pid);
+
   Options options_;
   SimMemory memory_;
   rmr::RmrCounter rmr_;
@@ -125,8 +129,7 @@ class Kernel {
   int abort_requests_ = 0;
   std::function<void(const OpRecord&)> op_observer_;
   std::vector<OpRecord> event_log_;
-  mutable std::vector<int> runnable_cache_;
-  mutable bool runnable_dirty_ = true;
+  std::vector<int> runnable_;  // pid-ordered; empty until start()
 };
 
 }  // namespace rts::sim

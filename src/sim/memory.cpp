@@ -24,13 +24,14 @@ RegId SimMemory::alloc(std::string_view name) {
 }
 
 void SimMemory::reset_values() {
-  for (RegSlot& slot : slots_) {
+  for (const RegId reg : dirty_) {
+    RegSlot& slot = slots_[reg];
     slot.value = 0;
     slot.last_writer = -1;
     slot.reads = 0;
     slot.writes = 0;
   }
-  touched_ = 0;
+  dirty_.clear();
   total_reads_ = 0;
   total_writes_ = 0;
 }

@@ -43,6 +43,9 @@ class SimMemory {
   /// visible writer, zero traffic -- while keeping the slots, their interned
   /// names, and the allocation count.  A pooled workspace calls this between
   /// trials so a reused layout is indistinguishable from a fresh build.
+  /// Costs O(touched), not O(allocated): only slots on the dirty list (first
+  /// read or write since the last reset) can differ from a fresh slot, and
+  /// slots allocated since then start clean.
   void reset_values();
 
   // read/write are the innermost simulated-step operations (one of the two
@@ -55,10 +58,10 @@ class SimMemory {
 
   /// Number of registers allocated so far.
   std::size_t allocated() const { return slots_.size(); }
-  /// Number of registers with at least one read or write.  Maintained
-  /// incrementally (first touch of a slot), so per-trial space accounting
-  /// costs O(1) instead of a scan over every allocated slot.
-  std::size_t touched() const { return touched_; }
+  /// Number of registers with at least one read or write: the dirty list's
+  /// length, so per-trial space accounting costs O(1) instead of a scan over
+  /// every allocated slot.
+  std::size_t touched() const { return dirty_.size(); }
   std::uint64_t total_reads() const { return total_reads_; }
   std::uint64_t total_writes() const { return total_writes_; }
 
@@ -83,7 +86,7 @@ class SimMemory {
   std::vector<RegSlot> slots_;
   std::deque<std::string> name_pool_;  // stable storage behind the views
   std::unordered_set<std::string_view> interned_;
-  std::size_t touched_ = 0;
+  std::vector<RegId> dirty_;  // slots touched since the last reset
   std::uint64_t total_reads_ = 0;
   std::uint64_t total_writes_ = 0;
   rmr::RmrCounter* rmr_ = nullptr;  // not owned; null = no RMR accounting
@@ -92,7 +95,7 @@ class SimMemory {
 inline std::uint64_t SimMemory::read(RegId reg, int pid) {
   RTS_ASSERT(reg < slots_.size());
   RegSlot& slot = slots_[reg];
-  if (slot.reads == 0 && slot.writes == 0) ++touched_;
+  if (slot.reads == 0 && slot.writes == 0) dirty_.push_back(reg);
   ++slot.reads;
   ++total_reads_;
   if (rmr_ != nullptr) rmr_->on_read(pid, reg);
@@ -102,7 +105,7 @@ inline std::uint64_t SimMemory::read(RegId reg, int pid) {
 inline void SimMemory::write(RegId reg, std::uint64_t value, int pid) {
   RTS_ASSERT(reg < slots_.size());
   RegSlot& slot = slots_[reg];
-  if (slot.reads == 0 && slot.writes == 0) ++touched_;
+  if (slot.reads == 0 && slot.writes == 0) dirty_.push_back(reg);
   slot.value = value;
   slot.last_writer = pid;
   ++slot.writes;

@@ -298,6 +298,30 @@ TEST(RecordReplayCampaign, ErroredTrialsReportTheirReasons) {
       campaign::run_campaign(spec), campaign::ReportFormat::kTable);
   EXPECT_EQ(clean_table.find("first error"), std::string::npos);
 
+  // csv grows a trailing `first_error` column, RFC 4180-quoted; error-free
+  // csv keeps its bytes (no such column).
+  campaign::CampaignResult errored = campaign::run_campaign(spec, options);
+  const std::string csv =
+      campaign::render_to_string(errored, campaign::ReportFormat::kCsv);
+  const std::string header = csv.substr(0, csv.find('\n'));
+  EXPECT_EQ(header.substr(header.size() - 12), ",first_error") << csv;
+  EXPECT_NE(csv.find("replay mismatch"), std::string::npos) << csv;
+  const std::string clean_csv = campaign::render_to_string(
+      campaign::run_campaign(spec), campaign::ReportFormat::kCsv);
+  EXPECT_EQ(clean_csv.find("first_error"), std::string::npos);
+  ASSERT_EQ(errored.cells.size(), 1u);
+  errored.cells[0].first_errors = {"mismatch at \"step\" 3, pid 1"};
+  const std::string quoted =
+      campaign::render_to_string(errored, campaign::ReportFormat::kCsv);
+  const std::string row = quoted.substr(quoted.find('\n') + 1);
+  EXPECT_EQ(row.substr(row.size() - 33),
+            ",\"mismatch at \"\"step\"\" 3, pid 1\"\n")
+      << quoted;
+  errored.cells[0].first_errors = {"no-comma reason"};
+  EXPECT_NE(campaign::render_to_string(errored, campaign::ReportFormat::kCsv)
+                .find(",no-comma reason\n"),
+            std::string::npos);
+
   std::filesystem::remove_all(dir);
 }
 

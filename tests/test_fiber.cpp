@@ -1,7 +1,10 @@
 // Tests for the ucontext fiber substrate: symmetric switching, completion
-// routing, nesting (fiber switching into fiber), and bulk creation.
+// routing, nesting (fiber switching into fiber), bulk creation, and the
+// cache-colored stack tops.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,53 @@ TEST(Stack, MoveTransfersOwnership) {
   MmapStack b(std::move(a));
   EXPECT_EQ(b.base(), base);
   EXPECT_EQ(a.base(), nullptr);  // NOLINT(bugprone-use-after-move): asserted
+}
+
+constexpr std::size_t kPooledStackBytes = 16 * 1024;
+
+/// Recurses in small frames, touching each frame's locals, until a frame
+/// sits at or below `floor`; returns the lowest frame address reached.
+[[gnu::noinline]] const char* descend_to(const char* floor) {
+  volatile char locals[64] = {};
+  locals[63] = 1;
+  const auto* frame = static_cast<const char*>(__builtin_frame_address(0));
+  const char* lowest = frame > floor ? descend_to(floor) : frame;
+  locals[0] = locals[63];  // keeps this frame live across the call
+  return lowest;
+}
+
+TEST(Stack, ColoredTopsSpreadOverTwoKilobytes) {
+  std::vector<MmapStack> stacks;
+  std::set<std::size_t> offsets;
+  for (int i = 0; i < 64; ++i) {
+    stacks.push_back(acquire_stack(kPooledStackBytes));
+    const MmapStack& stack = stacks.back();
+    const char* top = static_cast<const char*>(stack.base()) + stack.size();
+    const char* colored = stack.colored_top();
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(colored) % 16, 0u);
+    ASSERT_LE(colored, top);
+    const auto offset = static_cast<std::size_t>(top - colored);
+    EXPECT_LT(offset, 2048u);
+    offsets.insert(offset);
+  }
+  // Stacks mapped in a row step through all 32 colors.
+  EXPECT_GE(offsets.size(), 32u);
+
+  // Every color leaves the rest of the stack usable: a fiber descends from
+  // its colored top through size() - 2048 - 512 bytes, to within 512 B of
+  // the base, without touching the guard page.
+  ExecutionContext main_ctx;
+  for (MmapStack& stack : stacks) {
+    const char* floor = static_cast<const char*>(stack.base()) + 512;
+    const char* lowest = nullptr;
+    Fiber fib([&] { lowest = descend_to(floor); }, &stack);
+    fib.set_return_to(&main_ctx);
+    switch_context(main_ctx, fib);
+    ASSERT_TRUE(fib.finished());
+    EXPECT_GE(static_cast<std::size_t>(stack.colored_top() - lowest),
+              stack.size() - 2048 - 512);
+  }
+  for (MmapStack& stack : stacks) release_stack(std::move(stack));
 }
 
 TEST(Fiber, PingPong) {

@@ -138,6 +138,77 @@ TEST(Kernel, EventLogAndObserver) {
   EXPECT_EQ(kernel.event_log()[1].prev_writer, 0);
 }
 
+TEST(Kernel, RunnableSetStaysExactUnderRandomGrantCrashAbort) {
+  // The kernel keeps its runnable set incrementally; after every call it
+  // must equal a full rescan.  Process p performs rng-drawn 0..3 ops, so
+  // some finish in their prologue; some are crashed before start(); the
+  // same kernel is rewound and rerun three times.
+  constexpr int kProcesses = 12;
+  Kernel kernel;
+  const RegId reg = kernel.memory().alloc("r");
+  for (int p = 0; p < kProcesses; ++p) {
+    kernel.add_process(
+        [reg](Context& ctx) {
+          const std::uint64_t ops = ctx.uniform_below(4);
+          for (std::uint64_t i = 0; i < ops; ++i) {
+            if (ctx.flip() != 0) {
+              ctx.write(reg, i);
+            } else {
+              ctx.read(reg);
+            }
+          }
+        },
+        prng(100 + static_cast<std::uint64_t>(p)));
+  }
+  support::PrngSource driver(2012);
+  const auto expect_exact = [&kernel](const char* after) {
+    ASSERT_EQ(kernel.runnable_pids_cached(), kernel.runnable_pids()) << after;
+  };
+
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    if (cycle > 0) {
+      kernel.rewind();
+      expect_exact("rewind");
+    }
+    std::vector<bool> crashed_early(kProcesses, false);
+    for (int p = 0; p < kProcesses; ++p) {
+      if (driver.draw(4) == 0) {
+        kernel.crash(p);
+        crashed_early[static_cast<std::size_t>(p)] = true;
+        expect_exact("crash before start");
+      }
+    }
+    kernel.start();
+    expect_exact("start");
+    for (int p = 0; p < kProcesses; ++p) {
+      if (crashed_early[static_cast<std::size_t>(p)]) {
+        EXPECT_EQ(kernel.state(p), SimProcess::State::kCrashed);
+        EXPECT_EQ(kernel.steps(p), 0u);
+      }
+    }
+    while (!kernel.runnable_pids().empty()) {
+      const std::vector<int> live = kernel.runnable_pids();
+      const int pid = live[driver.draw(live.size())];
+      switch (driver.draw(8)) {
+        case 0:
+          kernel.crash(pid);
+          expect_exact("crash");
+          break;
+        case 1:
+          // Any pid, finished and crashed ones included (lenient no-op).
+          kernel.abort_request(static_cast<int>(driver.draw(kProcesses)));
+          expect_exact("abort_request");
+          break;
+        default:
+          kernel.grant(pid);
+          expect_exact("grant");
+          break;
+      }
+    }
+    EXPECT_TRUE(kernel.all_done());
+  }
+}
+
 // --- Adversary view filtering -------------------------------------------
 
 class ViewProbe {

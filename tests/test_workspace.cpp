@@ -15,8 +15,10 @@
 #include "campaign/executor.hpp"
 #include "exec/workspace.hpp"
 #include "hw/harness.hpp"
+#include "sim/adversaries.hpp"
 #include "sim/memory.hpp"
 #include "sim/runner.hpp"
+#include "support/rng.hpp"
 
 namespace rts::exec {
 namespace {
@@ -278,6 +280,40 @@ TEST(SimMemory, InternsNamesAndKeepsThemAcrossValueResets) {
   EXPECT_EQ(memory.slot(a).value, 0u);
   EXPECT_EQ(memory.slot(a).last_writer, -1);
   EXPECT_EQ(memory.slot(a).writes, 0u);
+  EXPECT_EQ(memory.touched(), 0u);
+  EXPECT_EQ(memory.total_reads(), 0u);
+  EXPECT_EQ(memory.total_writes(), 0u);
+}
+
+TEST(SimMemory, ResetAfterALazyRatRaceTrialRestoresEverySlot) {
+  // RatRace-path allocates tree nodes mid-trial; the dirty-list reset must
+  // still leave every slot -- including those allocated during the trial --
+  // equal to a freshly allocated one.
+  constexpr int k = 64;
+  sim::Kernel kernel;
+  const sim::BuiltLe built =
+      algo::sim_builder(algo::AlgorithmId::kRatRacePath)(kernel, k);
+  const std::size_t allocated_before = kernel.memory().allocated();
+  for (int pid = 0; pid < k; ++pid) {
+    kernel.add_process(
+        [&built](sim::Context& ctx) { built.elect(ctx); },
+        std::make_unique<support::PrngSource>(
+            support::derive_seed(7, static_cast<std::uint64_t>(pid))));
+  }
+  sim::UniformRandomAdversary adversary(11);
+  ASSERT_TRUE(kernel.run(adversary));
+  sim::SimMemory& memory = kernel.memory();
+  ASSERT_GT(memory.allocated(), allocated_before) << "no mid-trial allocation";
+  ASSERT_GT(memory.touched(), 0u);
+
+  memory.reset_values();
+  for (sim::RegId reg = 0; reg < memory.allocated(); ++reg) {
+    const sim::RegSlot& slot = memory.slot(reg);
+    EXPECT_EQ(slot.value, 0u) << slot.name;
+    EXPECT_EQ(slot.last_writer, -1) << slot.name;
+    EXPECT_EQ(slot.reads, 0u) << slot.name;
+    EXPECT_EQ(slot.writes, 0u) << slot.name;
+  }
   EXPECT_EQ(memory.touched(), 0u);
   EXPECT_EQ(memory.total_reads(), 0u);
   EXPECT_EQ(memory.total_writes(), 0u);
