@@ -2,8 +2,8 @@
 // builds on and improves: O(log log n) rounds of sifting followed by
 // RatRace among the survivors.
 //
-// Two properties matter here (both measured in bench_landscape /
-// bench_combined):
+// Two properties matter here (both measured by `rts_bench --preset landscape`
+// and bench_combined):
 //  * against the R/W-oblivious adversary the sifting phase cuts the cohort
 //    doubly-exponentially, so the expected step complexity is O(log log n)
 //    (not adaptive -- the schedule is sized for n; Theorem 2.4's cascade is

@@ -1,15 +1,17 @@
 #include "campaign/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "campaign/hunt.hpp"
@@ -91,112 +93,6 @@ void print_banner(const Preset& preset) {
   std::printf("# %s\n", preset.title);
   std::printf("# Paper claim: %s\n", preset.claim);
   std::printf("######################################################\n");
-}
-
-void print_usage(std::FILE* out) {
-  std::fprintf(out,
-               "rts_bench -- unified experiment-campaign driver\n"
-               "\n"
-               "usage:\n"
-               "  rts_bench --list\n"
-               "  rts_bench --preset NAME[,NAME...] [options]\n"
-               "  rts_bench --algos A[,A...] [--adversaries S[,S...]]\n"
-               "            [--ks K[,K...]] [options]      (ad-hoc grid)\n"
-               "\n"
-               "options:\n"
-               "  --backend B[,B...] execution backends: sim | hw "
-               "(overrides preset)\n"
-               "  --workers N       worker threads (0 = hardware, default 1)\n"
-               "  --batch N         batched fast path: N in 1-64 runs eligible\n"
-               "                    sim cells' trials through the fiber-free\n"
-               "                    batch engine (bitwise-identical output,\n"
-               "                    see docs/ARCHITECTURE.md; default off)\n"
-               "  --trials N        override trials per cell\n"
-               "  --seed S          override campaign seed\n"
-               "  --ks K[,K...]     override the contention sweep\n"
-               "  --n N             fixed object capacity (default: n = k)\n"
-               "  --rmr M[,M...]    RMR charging models: none | cc | dsm\n"
-               "                    (sim only; adds a grid axis and the RMR\n"
-               "                    report columns)\n"
-               "  --format F        stdout format: table | jsonl | csv\n"
-               "  --json PATH       also write JSONL to PATH ('-' = stdout)\n"
-               "  --csv PATH        also write CSV to PATH ('-' = stdout)\n"
-               "  --bench DIR       write a BENCH_<name>.json trajectory\n"
-               "                    summary per campaign into DIR\n"
-               "  --record DIR      record every sim trial's schedule into\n"
-               "                    DIR/<campaign>/ (.rtst traces + manifest)\n"
-               "  --replay DIR      re-drive sim trials from traces recorded\n"
-               "                    in DIR/<campaign>/ (bit-for-bit replay)\n"
-               "  --hunt DIR        hunt worst-case schedules: record each\n"
-               "                    sim cell, minimize the worst trial per\n"
-               "                    --pred family, write DIR/*.rtst + corpus\n"
-               "                    MANIFEST.json\n"
-               "  --minimize FILE   delta-debug one trial of a recorded\n"
-               "                    .rtst against --pred; see --trial/--out\n"
-               "  --conform DIR[,DIR...]\n"
-               "                    replay every .rtst in DIR through the\n"
-               "                    differential conformance harness (fresh\n"
-               "                    sim, pooled sim, scheduled hw) and check\n"
-               "                    corpus-manifest minimization claims\n"
-               "  --pred P[,P...]   predicate specs for --hunt/--minimize:\n"
-               "                    a family (max-steps, winner-steps,\n"
-               "                    total-steps, violation, divergence) or\n"
-               "                    family>=N; thresholds default to the\n"
-               "                    worst/recorded value\n"
-               "  --trial N         trial index for --minimize (default 0)\n"
-               "  --out PATH        output path for --minimize (default:\n"
-               "                    FILE with a .min.rtst suffix)\n"
-               "  --time-budget S   stop claiming trials after S seconds\n"
-               "  --step-limit N    per-trial kernel step budget\n"
-               "  --progress        live progress line on stderr\n"
-               "  --quiet           no banners\n"
-               "\n"
-               "chaos / recovery (see EXPERIMENTS.md, fault/plan.hpp):\n"
-               "  --faults SPEC     seeded fault plan, e.g.\n"
-               "                    'stall:p=0.3,us=3000;noshow:p=0.1;"
-               "die:p=0.001'\n"
-               "                    (hw participants + campaign workers)\n"
-               "  --deadline-us N   per-election deadline; timed-out\n"
-               "                    elections are cancelled and retried\n"
-               "  --retries N       retry attempts after a deadline\n"
-               "                    cancellation (default 2, capped backoff)\n"
-               "  --shed-backlog N  soak only: shed arrivals once the\n"
-               "                    backlog exceeds N elections\n"
-               "  --checkpoint DIR  checkpoint completed sim cells into\n"
-               "                    DIR/<campaign>/ (SIGKILL-safe)\n"
-               "  --checkpoint-every N\n"
-               "                    flush every N completed cells (default 1)\n"
-               "  --resume DIR      resume a checkpointed campaign: preload\n"
-               "                    finished cells, run the rest; final\n"
-               "                    output bytes equal an uninterrupted run\n"
-               "\n"
-               "SIGINT/SIGTERM stop campaign and soak runs gracefully:\n"
-               "partial results are reported (marked interrupted) and, for\n"
-               "campaigns, completed cells are checkpointed for --resume.\n"
-               "\n"
-               "exit status: 0 ok, 1 run failure, 2 usage error, 3 some\n"
-               "trials errored (reasons in the table, jsonl and stderr),\n"
-               "130 interrupted.\n"
-               "\n"
-               "open-loop soak (hw backend; see EXPERIMENTS.md):\n"
-               "  --soak S          soak for S seconds: fire elections at\n"
-               "                    --rate through a persistent thread pool,\n"
-               "                    heartbeats on stderr, report on stdout\n"
-               "  --rate R          target election arrivals per second\n"
-               "  --shards N        service shards: N persistent election\n"
-               "                    pools (k threads each) behind a\n"
-               "                    least-backlog dispatcher; merged report\n"
-               "                    is exact, per-shard blocks in jsonl\n"
-               "  --soak-preset P   named soak configuration (see --list);\n"
-               "                    --soak/--rate/--algos/--ks/... override\n"
-               "  --pin C[,C...]    pin participant i to cpu C[i %% len]; in\n"
-               "                    soak and hw campaign cells (NUMA control)\n"
-               "\n"
-               "Sim aggregates are a pure function of the spec: output bytes\n"
-               "are identical for any --workers value (absent --time-budget).\n"
-               "Hw cells run the same seeded trial streams on real threads\n"
-               "(one election at a time); their step counts carry genuine\n"
-               "scheduling noise.\n");
 }
 
 void print_list() {
@@ -282,240 +178,381 @@ struct CliArgs {
   bool help = false;
 };
 
-/// Returns std::nullopt and prints a diagnostic on malformed input.
-std::optional<CliArgs> parse_args(int argc, char** argv) {
-  CliArgs args;
-  const auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "rts_bench: %s needs a value\n", flag);
-      return nullptr;
+/// The run modes an invocation can resolve to.  A flag row lists the modes
+/// whose code reads it; given in any other mode it is a usage error.
+enum Mode : unsigned {
+  kCampaign = 1u << 0,
+  kSoak = 1u << 1,
+  kHunt = 1u << 2,
+  kMinimize = 1u << 3,
+  kConform = 1u << 4,
+  kAnyMode = (1u << 5) - 1,
+};
+
+/// "campaign/soak" for a mode set, in bit order.
+std::string mode_names(unsigned modes) {
+  const char* const names[] = {"campaign", "soak", "hunt", "minimize",
+                               "conform"};
+  std::string text;
+  for (unsigned bit = 0; bit < 5; ++bit) {
+    if ((modes & (1u << bit)) == 0) continue;
+    text += (text.empty() ? "" : "/") + std::string(names[bit]);
+  }
+  return text;
+}
+
+bool unknown_choice(const char* what, const std::string& name,
+                    const char* expected) {
+  std::fprintf(stderr, "rts_bench: unknown %s '%s' (expected %s)\n", what,
+               name.c_str(), expected);
+  return false;
+}
+
+/// The row setter: writes one flag value into the CliArgs field `kField`,
+/// parsed by the field's type -- a switch, a string, a comma-separated
+/// list (repeated flags extend it), a named choice, or a checked number.
+/// Integers must lie in [kMin, kMax], u64 values must be >= kMin, doubles
+/// must be finite and > 0.  On malformed input it prints "rts_bench: ..."
+/// and returns false.
+template <auto kField, long long kMin = 0,
+          long long kMax = std::numeric_limits<int>::max()>
+bool set(CliArgs& args, [[maybe_unused]] const char* flag,
+         [[maybe_unused]] const char* value) {
+  auto& field = args.*kField;
+  using T = std::remove_reference_t<decltype(field)>;
+  if constexpr (std::is_same_v<T, bool>) {
+    field = true;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    field = value;
+  } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+    for (std::string& item : split_csv(value)) {
+      field.push_back(std::move(item));
     }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const char* value = nullptr;
-    if (arg == "--list") {
-      args.list = true;
-    } else if (arg == "--help" || arg == "-h") {
-      args.help = true;
-    } else if (arg == "--progress") {
-      args.progress = true;
-    } else if (arg == "--quiet") {
-      args.quiet = true;
-    } else if (arg == "--preset") {
-      if ((value = need_value(i, "--preset")) == nullptr) return std::nullopt;
-      for (auto& name : split_csv(value)) args.presets.push_back(name);
-    } else if (arg == "--algos") {
-      if ((value = need_value(i, "--algos")) == nullptr) return std::nullopt;
-      args.algos = split_csv(value);
-    } else if (arg == "--adversaries") {
-      if ((value = need_value(i, "--adversaries")) == nullptr) {
-        return std::nullopt;
+  } else if constexpr (std::is_same_v<T, std::vector<int>>) {
+    for (const std::string& item : split_csv(value)) {
+      const auto parsed = parse_integer_flag(flag, item, kMin, kMax);
+      if (!parsed) return false;
+      field.push_back(static_cast<int>(*parsed));
+    }
+  } else if constexpr (std::is_same_v<T, std::vector<exec::Backend>>) {
+    for (const std::string& name : split_csv(value)) {
+      const auto backend = exec::parse_backend(name);
+      if (!backend) return unknown_choice("backend", name, "sim or hw");
+      field.push_back(*backend);
+    }
+  } else if constexpr (std::is_same_v<T, std::vector<rmr::RmrModel>>) {
+    for (const std::string& name : split_csv(value)) {
+      rmr::RmrModel model{};
+      if (!rmr::parse_rmr_model(name, &model)) {
+        return unknown_choice("rmr model", name, "none, cc, or dsm");
       }
-      args.adversaries = split_csv(value);
-    } else if (arg == "--backend" || arg == "--backends") {
-      if ((value = need_value(i, "--backend")) == nullptr) {
-        return std::nullopt;
-      }
-      for (const std::string& name : split_csv(value)) {
-        const auto backend = exec::parse_backend(name);
-        if (!backend) {
-          std::fprintf(stderr,
-                       "rts_bench: unknown backend '%s' "
-                       "(expected sim or hw)\n",
-                       name.c_str());
-          return std::nullopt;
-        }
-        args.backends.push_back(*backend);
-      }
-    } else if (arg == "--rmr") {
-      if ((value = need_value(i, "--rmr")) == nullptr) return std::nullopt;
-      for (const std::string& name : split_csv(value)) {
-        rmr::RmrModel model;
-        if (!rmr::parse_rmr_model(name, &model)) {
-          std::fprintf(stderr,
-                       "rts_bench: unknown rmr model '%s' "
-                       "(expected none, cc, or dsm)\n",
-                       name.c_str());
-          return std::nullopt;
-        }
-        args.rmrs.push_back(model);
-      }
-    } else if (arg == "--ks") {
-      if ((value = need_value(i, "--ks")) == nullptr) return std::nullopt;
-      for (auto& k : split_csv(value)) {
-        const auto parsed = parse_integer_flag("--ks", k, 1, 1'000'000);
-        if (!parsed) return std::nullopt;
-        args.ks.push_back(static_cast<int>(*parsed));
-      }
-    } else if (arg == "--n") {
-      if ((value = need_value(i, "--n")) == nullptr) return std::nullopt;
-      const auto parsed = parse_integer_flag("--n", value, 1, 1'000'000);
-      if (!parsed) return std::nullopt;
-      args.fixed_n = static_cast<int>(*parsed);
-    } else if (arg == "--trials") {
-      if ((value = need_value(i, "--trials")) == nullptr) return std::nullopt;
-      const auto parsed = parse_integer_flag(
-          "--trials", value, 1, std::numeric_limits<int>::max());
-      if (!parsed) return std::nullopt;
-      args.trials = static_cast<int>(*parsed);
-    } else if (arg == "--seed") {
-      if ((value = need_value(i, "--seed")) == nullptr) return std::nullopt;
-      const auto parsed = parse_u64_flag("--seed", value, 0);
-      if (!parsed) return std::nullopt;
-      args.seed = *parsed;
-    } else if (arg == "--step-limit") {
-      if ((value = need_value(i, "--step-limit")) == nullptr) {
-        return std::nullopt;
-      }
-      const auto parsed = parse_u64_flag("--step-limit", value, 1);
-      if (!parsed) return std::nullopt;
-      args.step_limit = *parsed;
-    } else if (arg == "--workers") {
-      if ((value = need_value(i, "--workers")) == nullptr) return std::nullopt;
-      const auto parsed = parse_integer_flag("--workers", value, 0, 4096);
-      if (!parsed) return std::nullopt;
-      args.workers = static_cast<int>(*parsed);
-    } else if (arg == "--batch") {
-      if ((value = need_value(i, "--batch")) == nullptr) return std::nullopt;
-      const auto parsed = parse_integer_flag("--batch", value, 0, 64);
-      if (!parsed) return std::nullopt;
-      args.batch = static_cast<int>(*parsed);
-    } else if (arg == "--time-budget") {
-      if ((value = need_value(i, "--time-budget")) == nullptr) {
-        return std::nullopt;
-      }
-      const auto parsed = parse_double_flag("--time-budget", value, 0.0);
-      if (!parsed) return std::nullopt;
-      args.time_budget = *parsed;
-    } else if (arg == "--format") {
-      if ((value = need_value(i, "--format")) == nullptr) return std::nullopt;
-      const auto format = parse_format(value);
-      if (!format) {
-        std::fprintf(stderr,
-                     "rts_bench: unknown format '%s' "
-                     "(expected table, jsonl, or csv)\n",
-                     value);
-        return std::nullopt;
-      }
-      args.format = *format;
-    } else if (arg == "--json") {
-      if ((value = need_value(i, "--json")) == nullptr) return std::nullopt;
-      args.json_path = value;
-    } else if (arg == "--csv") {
-      if ((value = need_value(i, "--csv")) == nullptr) return std::nullopt;
-      args.csv_path = value;
-    } else if (arg == "--bench") {
-      if ((value = need_value(i, "--bench")) == nullptr) return std::nullopt;
-      args.bench_dir = value;
-    } else if (arg == "--record") {
-      if ((value = need_value(i, "--record")) == nullptr) return std::nullopt;
-      args.record_dir = value;
-    } else if (arg == "--replay") {
-      if ((value = need_value(i, "--replay")) == nullptr) return std::nullopt;
-      args.replay_dir = value;
-    } else if (arg == "--hunt") {
-      if ((value = need_value(i, "--hunt")) == nullptr) return std::nullopt;
-      args.hunt_dir = value;
-    } else if (arg == "--minimize") {
-      if ((value = need_value(i, "--minimize")) == nullptr) {
-        return std::nullopt;
-      }
-      args.minimize_file = value;
-    } else if (arg == "--conform") {
-      if ((value = need_value(i, "--conform")) == nullptr) return std::nullopt;
-      for (auto& dir : split_csv(value)) args.conform_dirs.push_back(dir);
-    } else if (arg == "--pred") {
-      if ((value = need_value(i, "--pred")) == nullptr) return std::nullopt;
-      for (auto& spec : split_csv(value)) args.predicates.push_back(spec);
-    } else if (arg == "--trial") {
-      if ((value = need_value(i, "--trial")) == nullptr) return std::nullopt;
-      const auto parsed = parse_integer_flag("--trial", value, 0,
-                                             std::numeric_limits<int>::max());
-      if (!parsed) return std::nullopt;
-      args.trial = static_cast<int>(*parsed);
-    } else if (arg == "--soak") {
-      if ((value = need_value(i, "--soak")) == nullptr) return std::nullopt;
-      const auto parsed = parse_double_flag("--soak", value, 0.0);
-      if (!parsed) return std::nullopt;
-      args.soak_seconds = *parsed;
-    } else if (arg == "--rate") {
-      if ((value = need_value(i, "--rate")) == nullptr) return std::nullopt;
-      const auto parsed = parse_double_flag("--rate", value, 0.0);
-      if (!parsed) return std::nullopt;
-      args.rate = *parsed;
-    } else if (arg == "--shards") {
-      if ((value = need_value(i, "--shards")) == nullptr) return std::nullopt;
-      const auto parsed = parse_integer_flag("--shards", value, 1, 1024);
-      if (!parsed) return std::nullopt;
-      args.shards = static_cast<int>(*parsed);
-    } else if (arg == "--soak-preset") {
-      if ((value = need_value(i, "--soak-preset")) == nullptr) {
-        return std::nullopt;
-      }
-      args.soak_preset = value;
-    } else if (arg == "--pin") {
-      if ((value = need_value(i, "--pin")) == nullptr) return std::nullopt;
-      for (auto& cpu : split_csv(value)) {
-        const auto parsed = parse_integer_flag("--pin", cpu, 0, 4095);
-        if (!parsed) return std::nullopt;
-        args.pin_cpus.push_back(static_cast<int>(*parsed));
-      }
-    } else if (arg == "--faults") {
-      if ((value = need_value(i, "--faults")) == nullptr) return std::nullopt;
-      std::string error;
-      if (!fault::FaultPlan::parse(value, &error)) {
-        std::fprintf(stderr, "rts_bench: bad --faults spec: %s\n",
-                     error.c_str());
-        return std::nullopt;
-      }
-      args.faults_spec = value;
-    } else if (arg == "--deadline-us") {
-      if ((value = need_value(i, "--deadline-us")) == nullptr) {
-        return std::nullopt;
-      }
-      const auto parsed = parse_u64_flag("--deadline-us", value, 1);
-      if (!parsed) return std::nullopt;
-      args.deadline_us = *parsed;
-    } else if (arg == "--retries") {
-      if ((value = need_value(i, "--retries")) == nullptr) return std::nullopt;
-      const auto parsed = parse_integer_flag(
-          "--retries", value, 0, std::numeric_limits<int>::max());
-      if (!parsed) return std::nullopt;
-      args.retries = static_cast<int>(*parsed);
-    } else if (arg == "--shed-backlog") {
-      if ((value = need_value(i, "--shed-backlog")) == nullptr) {
-        return std::nullopt;
-      }
-      const auto parsed = parse_u64_flag("--shed-backlog", value, 1);
-      if (!parsed) return std::nullopt;
-      args.shed_backlog = *parsed;
-    } else if (arg == "--checkpoint") {
-      if ((value = need_value(i, "--checkpoint")) == nullptr) {
-        return std::nullopt;
-      }
-      args.checkpoint_dir = value;
-    } else if (arg == "--checkpoint-every") {
-      if ((value = need_value(i, "--checkpoint-every")) == nullptr) {
-        return std::nullopt;
-      }
-      const auto parsed = parse_integer_flag(
-          "--checkpoint-every", value, 1, std::numeric_limits<int>::max());
-      if (!parsed) return std::nullopt;
-      args.checkpoint_every = static_cast<int>(*parsed);
-    } else if (arg == "--resume") {
-      if ((value = need_value(i, "--resume")) == nullptr) return std::nullopt;
-      args.resume_dir = value;
-    } else if (arg == "--out") {
-      if ((value = need_value(i, "--out")) == nullptr) return std::nullopt;
-      args.out_path = value;
+      field.push_back(model);
+    }
+  } else if constexpr (std::is_same_v<T, ReportFormat>) {
+    const auto format = parse_format(value);
+    if (!format) return unknown_choice("format", value, "table, jsonl, or csv");
+    field = *format;
+  } else if constexpr (std::is_same_v<T, double>) {
+    const auto parsed = parse_double_flag(flag, value, 0.0);
+    if (!parsed) return false;
+    field = *parsed;
+  } else if constexpr (std::is_same_v<T, std::uint64_t> ||
+                       std::is_same_v<T, std::optional<std::uint64_t>>) {
+    const auto parsed = parse_u64_flag(flag, value, kMin);
+    if (!parsed) return false;
+    field = *parsed;
+  } else {  // int or std::optional<int>
+    const auto parsed = parse_integer_flag(flag, value, kMin, kMax);
+    if (!parsed) return false;
+    field = static_cast<int>(*parsed);
+  }
+  return true;
+}
+
+bool set_faults(CliArgs& args, const char*, const char* value) {
+  std::string error;
+  if (!fault::FaultPlan::parse(value, &error)) {
+    std::fprintf(stderr, "rts_bench: bad --faults spec: %s\n", error.c_str());
+    return false;
+  }
+  args.faults_spec = value;
+  return true;
+}
+
+/// The --help block that lists a flag (synopsis flags have no option line).
+enum Block { kSynopsis, kGeneral, kChaos, kOpenLoop };
+
+/// One rts_bench flag.  kFlags is the only place a flag is described:
+/// parsing, the --help option lines and the per-mode check all read it.
+struct Flag {
+  const char* name;
+  const char* metavar;  // nullptr: a switch that takes no value
+  Block block;
+  unsigned modes;  // the Mode bits whose code reads the flag
+  bool (*set)(CliArgs& args, const char* flag, const char* value);
+  const char* help = nullptr;   // '\n' starts a continuation line
+  const char* alias = nullptr;  // a second spelling
+};
+
+constexpr Flag kFlags[] = {
+    {"--list", nullptr, kSynopsis, kAnyMode, set<&CliArgs::list>},
+    {"--help", nullptr, kSynopsis, kAnyMode, set<&CliArgs::help>, nullptr,
+     "-h"},
+    {"--preset", "NAME[,NAME...]", kSynopsis, kCampaign | kHunt,
+     set<&CliArgs::presets>},
+    {"--algos", "A[,A...]", kSynopsis, kCampaign | kSoak | kHunt,
+     set<&CliArgs::algos>},
+    {"--adversaries", "S[,S...]", kSynopsis, kCampaign | kHunt,
+     set<&CliArgs::adversaries>},
+    {"--backend", "B[,B...]", kGeneral, kCampaign | kHunt,
+     set<&CliArgs::backends>, "execution backends: sim | hw (overrides preset)",
+     "--backends"},
+    {"--workers", "N", kGeneral, kCampaign, set<&CliArgs::workers, 0, 4096>,
+     "worker threads (0 = hardware, default 1)"},
+    {"--batch", "N", kGeneral, kCampaign, set<&CliArgs::batch, 0, 64>,
+     "batched fast path: N in 1-64 runs eligible\n"
+     "sim cells' trials through the fiber-free\n"
+     "batch engine (bitwise-identical output,\n"
+     "see docs/ARCHITECTURE.md; default off)"},
+    {"--trials", "N", kGeneral, kCampaign | kHunt, set<&CliArgs::trials, 1>,
+     "override trials per cell"},
+    {"--seed", "S", kGeneral, kCampaign | kSoak | kHunt, set<&CliArgs::seed>,
+     "override campaign seed"},
+    {"--ks", "K[,K...]", kGeneral, kCampaign | kSoak | kHunt,
+     set<&CliArgs::ks, 1, 1'000'000>, "override the contention sweep"},
+    {"--n", "N", kGeneral, kCampaign | kSoak | kHunt,
+     set<&CliArgs::fixed_n, 1, 1'000'000>,
+     "fixed object capacity (default: n = k)"},
+    {"--rmr", "M[,M...]", kGeneral, kCampaign | kHunt, set<&CliArgs::rmrs>,
+     "RMR charging models: none | cc | dsm\n"
+     "(sim only; adds a grid axis and the RMR\n"
+     "report columns)"},
+    {"--format", "F", kGeneral, kCampaign, set<&CliArgs::format>,
+     "stdout format: table | jsonl | csv"},
+    {"--json", "PATH", kGeneral, kCampaign | kSoak, set<&CliArgs::json_path>,
+     "also write JSONL to PATH ('-' = stdout)"},
+    {"--csv", "PATH", kGeneral, kCampaign, set<&CliArgs::csv_path>,
+     "also write CSV to PATH ('-' = stdout)"},
+    {"--bench", "DIR", kGeneral, kCampaign, set<&CliArgs::bench_dir>,
+     "write a BENCH_<name>.json trajectory\n"
+     "summary per campaign into DIR"},
+    {"--record", "DIR", kGeneral, kCampaign, set<&CliArgs::record_dir>,
+     "record every sim trial's schedule into\n"
+     "DIR/<campaign>/ (.rtst traces + manifest)"},
+    {"--replay", "DIR", kGeneral, kCampaign, set<&CliArgs::replay_dir>,
+     "re-drive sim trials from traces recorded\n"
+     "in DIR/<campaign>/ (bit-for-bit replay)"},
+    {"--hunt", "DIR", kGeneral, kHunt, set<&CliArgs::hunt_dir>,
+     "hunt worst-case schedules: record each\n"
+     "sim cell, minimize the worst trial per\n"
+     "--pred family, write DIR/*.rtst + corpus\n"
+     "MANIFEST.json"},
+    {"--minimize", "FILE", kGeneral, kMinimize, set<&CliArgs::minimize_file>,
+     "delta-debug one trial of a recorded\n"
+     ".rtst against --pred; see --trial/--out"},
+    {"--conform", "DIR[,DIR...]", kGeneral, kConform,
+     set<&CliArgs::conform_dirs>,
+     "replay every .rtst in DIR through the\n"
+     "differential conformance harness (fresh\n"
+     "sim, pooled sim, scheduled hw) and check\n"
+     "corpus-manifest minimization claims"},
+    {"--pred", "P[,P...]", kGeneral, kHunt | kMinimize,
+     set<&CliArgs::predicates>,
+     "predicate specs for --hunt/--minimize:\n"
+     "a family (max-steps, winner-steps,\n"
+     "total-steps, violation, divergence) or\n"
+     "family>=N; thresholds default to the\n"
+     "worst/recorded value"},
+    {"--trial", "N", kGeneral, kMinimize, set<&CliArgs::trial>,
+     "trial index for --minimize (default 0)"},
+    {"--out", "PATH", kGeneral, kMinimize, set<&CliArgs::out_path>,
+     "output path for --minimize (default:\n"
+     "FILE with a .min.rtst suffix)"},
+    {"--time-budget", "S", kGeneral, kCampaign, set<&CliArgs::time_budget>,
+     "stop claiming trials after S seconds"},
+    {"--step-limit", "N", kGeneral, kCampaign | kSoak | kHunt,
+     set<&CliArgs::step_limit, 1>, "per-trial kernel step budget"},
+    {"--progress", nullptr, kGeneral, kCampaign, set<&CliArgs::progress>,
+     "live progress line on stderr"},
+    {"--quiet", nullptr, kGeneral, kAnyMode, set<&CliArgs::quiet>,
+     "no banners"},
+    {"--faults", "SPEC", kChaos, kCampaign | kSoak, set_faults,
+     "seeded fault plan, e.g.\n"
+     "'stall:p=0.3,us=3000;noshow:p=0.1;die:p=0.001'\n"
+     "(hw participants + campaign workers)"},
+    {"--deadline-us", "N", kChaos, kCampaign | kSoak,
+     set<&CliArgs::deadline_us, 1>,
+     "per-election deadline; timed-out\n"
+     "elections are cancelled and retried"},
+    {"--retries", "N", kChaos, kCampaign | kSoak, set<&CliArgs::retries>,
+     "retry attempts after a deadline\n"
+     "cancellation (default 2, capped backoff)"},
+    {"--shed-backlog", "N", kChaos, kSoak, set<&CliArgs::shed_backlog, 1>,
+     "soak only: shed arrivals once the\n"
+     "backlog exceeds N elections"},
+    {"--checkpoint", "DIR", kChaos, kCampaign, set<&CliArgs::checkpoint_dir>,
+     "checkpoint completed sim cells into\n"
+     "DIR/<campaign>/ (SIGKILL-safe)"},
+    {"--checkpoint-every", "N", kChaos, kCampaign,
+     set<&CliArgs::checkpoint_every, 1>,
+     "flush every N completed cells (default 1)"},
+    {"--resume", "DIR", kChaos, kCampaign, set<&CliArgs::resume_dir>,
+     "resume a checkpointed campaign: preload\n"
+     "finished cells, run the rest; final\n"
+     "output bytes equal an uninterrupted run"},
+    {"--soak", "S", kOpenLoop, kSoak, set<&CliArgs::soak_seconds>,
+     "soak for S seconds: fire elections at\n"
+     "--rate through a persistent thread pool,\n"
+     "heartbeats on stderr, report on stdout"},
+    {"--rate", "R", kOpenLoop, kSoak, set<&CliArgs::rate>,
+     "target election arrivals per second"},
+    {"--shards", "N", kOpenLoop, kSoak, set<&CliArgs::shards, 1, 1024>,
+     "service shards: N persistent election\n"
+     "pools (k threads each) behind a\n"
+     "least-backlog dispatcher; merged report\n"
+     "is exact, per-shard blocks in jsonl"},
+    {"--soak-preset", "P", kOpenLoop, kSoak, set<&CliArgs::soak_preset>,
+     "named soak configuration (see --list);\n"
+     "--soak/--rate/--algos/--ks/... override"},
+    {"--pin", "C[,C...]", kOpenLoop, kCampaign | kSoak,
+     set<&CliArgs::pin_cpus, 0, 4095>,
+     "pin participant i to cpu C[i % len]; in\n"
+     "soak and hw campaign cells (NUMA control)"},
+};
+
+/// Prints one --help block's option lines: "  %-17s %s" per flag, a
+/// name+metavar wider than 18 columns on a line of its own, continuation
+/// lines indented to the help column.
+void print_block(std::FILE* out, Block block) {
+  for (const Flag& flag : kFlags) {
+    if (flag.block != block) continue;
+    std::string head = flag.name;
+    if (flag.metavar != nullptr) head = head + " " + flag.metavar;
+    std::string help = flag.help;
+    for (std::size_t at = help.find('\n'); at != std::string::npos;
+         at = help.find('\n', at + 1)) {
+      help.insert(at + 1, 20, ' ');
+    }
+    if (head.size() > 18) {
+      std::fprintf(out, "  %s\n%20s%s\n", head.c_str(), "", help.c_str());
     } else {
-      std::fprintf(stderr, "rts_bench: unknown option '%s'\n", argv[i]);
-      return std::nullopt;
+      std::fprintf(out, "  %-17s %s\n", head.c_str(), help.c_str());
     }
   }
-  return args;
+}
+
+void print_usage(std::FILE* out) {
+  std::fputs("rts_bench -- unified experiment-campaign driver\n"
+             "\n"
+             "usage:\n"
+             "  rts_bench --list\n"
+             "  rts_bench --preset NAME[,NAME...] [options]\n"
+             "  rts_bench --algos A[,A...] [--adversaries S[,S...]]\n"
+             "            [--ks K[,K...]] [options]      (ad-hoc grid)\n"
+             "\n"
+             "options:\n",
+             out);
+  print_block(out, kGeneral);
+  std::fputs("\nchaos / recovery (see EXPERIMENTS.md, fault/plan.hpp):\n",
+             out);
+  print_block(out, kChaos);
+  std::fputs("\n"
+             "SIGINT/SIGTERM stop campaign and soak runs gracefully:\n"
+             "partial results are reported (marked interrupted) and, for\n"
+             "campaigns, completed cells are checkpointed for --resume.\n"
+             "\n"
+             "exit status: 0 ok, 1 run failure, 2 usage error, 3 some\n"
+             "trials errored (reasons in the table, jsonl and stderr),\n"
+             "130 interrupted.\n"
+             "\n"
+             "open-loop soak (hw backend; see EXPERIMENTS.md):\n",
+             out);
+  print_block(out, kOpenLoop);
+  std::fputs("\n"
+             "Sim aggregates are a pure function of the spec: output bytes\n"
+             "are identical for any --workers value (absent --time-budget).\n"
+             "Hw cells run the same seeded trial streams on real threads\n"
+             "(one election at a time); their step counts carry genuine\n"
+             "scheduling noise.\n",
+             out);
+}
+
+/// Parses argv into `args`, recording each given table row in `given` (in
+/// argv order).  Returns false and prints a diagnostic on malformed input.
+bool parse_args(int argc, char** argv, CliArgs* args,
+                std::vector<const Flag*>* given) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const Flag* flag = std::find_if(
+        std::begin(kFlags), std::end(kFlags), [&](const Flag& row) {
+          return arg == row.name || (row.alias != nullptr && arg == row.alias);
+        });
+    if (flag == std::end(kFlags)) {
+      std::fprintf(stderr, "rts_bench: unknown option '%s'\n", argv[i]);
+      return false;
+    }
+    const char* value = nullptr;
+    if (flag->metavar != nullptr) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "rts_bench: %s needs a value\n", flag->name);
+        return false;
+      }
+      value = argv[++i];
+    }
+    if (!flag->set(*args, flag->name, value)) return false;
+    given->push_back(flag);
+  }
+  return true;
+}
+
+/// Resolves the one mode the invocation runs in, rejects every given flag
+/// whose row does not list that mode, then applies the cross-flag rules
+/// the table cannot express.  std::nullopt + diagnostic on a usage error.
+std::optional<Mode> resolve_mode(const CliArgs& args,
+                                 const std::vector<const Flag*>& given) {
+  const bool soak = args.soak_seconds > 0.0 || !args.soak_preset.empty();
+  const bool hunt = !args.hunt_dir.empty();
+  const bool minimize = !args.minimize_file.empty();
+  const bool conform = !args.conform_dirs.empty();
+  const bool checkpoint = !args.checkpoint_dir.empty();
+  const bool resume = !args.resume_dir.empty();
+  const bool record = !args.record_dir.empty();
+  const bool replay = !args.replay_dir.empty();
+  const char* const exclusive =
+      soak + hunt + minimize + conform > 1
+          ? "--soak/--soak-preset, --hunt, --minimize and --conform"
+      : checkpoint && resume ? "--checkpoint and --resume"
+      : record && replay     ? "--record and --replay"
+      : (checkpoint || resume) && (record || replay)
+          ? "--checkpoint/--resume and --record/--replay"
+          : nullptr;
+  if (exclusive != nullptr) {
+    std::fprintf(stderr, "rts_bench: %s are mutually exclusive\n", exclusive);
+    return std::nullopt;
+  }
+  const Mode mode = soak       ? kSoak
+                    : hunt     ? kHunt
+                    : minimize ? kMinimize
+                    : conform  ? kConform
+                               : kCampaign;
+  for (const Flag* flag : given) {
+    if ((flag->modes & mode) != 0) continue;
+    std::fprintf(stderr,
+                 "rts_bench: %s applies only to %s runs, not to a %s run\n",
+                 flag->name, mode_names(flag->modes).c_str(),
+                 mode_names(mode).c_str());
+    return std::nullopt;
+  }
+  const bool every = std::any_of(given.begin(), given.end(), [](auto flag) {
+    return std::string_view(flag->name) == "--checkpoint-every";
+  });
+  if (every && !checkpoint && !resume) {
+    std::fprintf(stderr,
+                 "rts_bench: --checkpoint-every needs --checkpoint or "
+                 "--resume\n");
+    return std::nullopt;
+  }
+  return mode;
 }
 
 /// Builds the list of campaign specs the invocation asks for: the named
@@ -939,12 +976,12 @@ CampaignResult run_preset(std::string_view name,
 }
 
 int run_cli(int argc, char** argv) {
-  const std::optional<CliArgs> parsed = parse_args(argc, argv);
-  if (!parsed) {
+  CliArgs args;
+  std::vector<const Flag*> given;
+  if (!parse_args(argc, argv, &args, &given)) {
     print_usage(stderr);
     return 2;
   }
-  const CliArgs& args = *parsed;
   if (args.help) {
     print_usage(stdout);
     return 0;
@@ -953,115 +990,21 @@ int run_cli(int argc, char** argv) {
     print_list();
     return 0;
   }
-  // Soak mode: its own driver, mutually exclusive with the campaign grid
-  // and every trace-tooling mode.
-  const bool soak = args.soak_seconds > 0.0 || !args.soak_preset.empty();
-  if (soak) {
-    if (!args.presets.empty() || !args.conform_dirs.empty() ||
-        !args.minimize_file.empty() || !args.hunt_dir.empty() ||
-        !args.record_dir.empty() || !args.replay_dir.empty() ||
-        !args.adversaries.empty()) {
-      std::fprintf(stderr,
-                   "rts_bench: --soak/--soak-preset cannot be combined with "
-                   "--preset/--hunt/--minimize/--conform/--record/--replay/"
-                   "--adversaries (soak is an open-loop hw driver; use "
-                   "--soak-preset for canned configurations)\n");
-      return 2;
-    }
-    if (!args.checkpoint_dir.empty() || !args.resume_dir.empty()) {
-      std::fprintf(stderr,
-                   "rts_bench: --checkpoint/--resume only apply to campaign "
-                   "runs (a soak is a live service, not a resumable grid)\n");
-      return 2;
-    }
-    return run_soak_mode(args);
-  }
-  if (args.rate > 0.0) {
-    std::fprintf(stderr, "rts_bench: --rate only applies to --soak\n");
-    return 2;
-  }
-  if (args.shed_backlog > 0) {
-    std::fprintf(stderr, "rts_bench: --shed-backlog only applies to --soak\n");
-    return 2;
-  }
-  if (args.shards > 0) {
-    std::fprintf(stderr, "rts_bench: --shards only applies to --soak\n");
-    return 2;
-  }
-  if (!args.checkpoint_dir.empty() && !args.resume_dir.empty()) {
-    std::fprintf(stderr,
-                 "rts_bench: use either --checkpoint DIR (fresh run) or "
-                 "--resume DIR (continue into the same directory), not "
-                 "both\n");
-    return 2;
-  }
-  if ((!args.checkpoint_dir.empty() || !args.resume_dir.empty()) &&
-      (!args.record_dir.empty() || !args.replay_dir.empty())) {
-    std::fprintf(stderr,
-                 "rts_bench: --checkpoint/--resume cannot be combined with "
-                 "--record/--replay\n");
-    return 2;
-  }
-  // Trace-tooling modes: mutually exclusive, with their satellite flags
-  // rejected outside them instead of silently ignored.
-  const int modes = (!args.conform_dirs.empty() ? 1 : 0) +
-                    (!args.minimize_file.empty() ? 1 : 0) +
-                    (!args.hunt_dir.empty() ? 1 : 0);
-  if (modes > 1) {
-    std::fprintf(stderr,
-                 "rts_bench: --hunt, --minimize, and --conform are mutually "
-                 "exclusive\n");
-    return 2;
-  }
-  if (modes == 0 &&
-      (!args.predicates.empty() || args.trial != 0 || !args.out_path.empty())) {
-    std::fprintf(stderr,
-                 "rts_bench: --pred/--trial/--out only apply to --hunt and "
-                 "--minimize\n");
-    return 2;
-  }
-  if (!args.conform_dirs.empty() &&
-      (!args.predicates.empty() || args.trial != 0 ||
-       !args.out_path.empty())) {
-    std::fprintf(stderr,
-                 "rts_bench: --conform takes no --pred/--trial/--out\n");
-    return 2;
-  }
-  if (!args.hunt_dir.empty() && (args.trial != 0 || !args.out_path.empty())) {
-    std::fprintf(stderr, "rts_bench: --trial/--out only apply to --minimize\n");
-    return 2;
-  }
-  if (modes > 0 && (!args.record_dir.empty() || !args.replay_dir.empty())) {
-    std::fprintf(stderr,
-                 "rts_bench: --record/--replay cannot be combined with "
-                 "--hunt/--minimize/--conform (a hunt records its own "
-                 "traces)\n");
-    return 2;
-  }
-  if ((!args.conform_dirs.empty() || !args.minimize_file.empty()) &&
-      (!args.presets.empty() || !args.algos.empty())) {
-    std::fprintf(stderr,
-                 "rts_bench: --conform/--minimize work on trace files and "
-                 "take no --preset/--algos\n");
-    return 2;
-  }
-  if (!args.conform_dirs.empty()) return run_conform(args.conform_dirs);
-  if (!args.minimize_file.empty()) return run_minimize(args);
+  const std::optional<Mode> mode = resolve_mode(args, given);
+  if (!mode) return 2;
+  if (*mode == kSoak) return run_soak_mode(args);
+  if (*mode == kConform) return run_conform(args.conform_dirs);
+  if (*mode == kMinimize) return run_minimize(args);
   if (args.presets.empty() && args.algos.empty()) {
     std::fprintf(stderr, "rts_bench: nothing to run\n\n");
     print_usage(stderr);
-    return 2;
-  }
-  if (!args.record_dir.empty() && !args.replay_dir.empty()) {
-    std::fprintf(stderr,
-                 "rts_bench: --record and --replay are mutually exclusive\n");
     return 2;
   }
 
   std::vector<CampaignSpec> specs;
   std::vector<const Preset*> preset_of;
   if (!collect_specs(args, &specs, &preset_of)) return 2;
-  if (!args.hunt_dir.empty()) return run_hunt_mode(args, specs);
+  if (*mode == kHunt) return run_hunt_mode(args, specs);
 
   bool any_extended = false;
   bool any_rmr = false;

@@ -9,6 +9,14 @@
 //   rts_bench --backend hw --preset hw-smoke
 //   rts_bench --backend sim,hw --algos tournament --ks 2,4 --bench out/
 //
+// Every flag is one row of the flag table in cli.cpp: its name, metavar,
+// help text, value parser and range, and the run modes (campaign grid,
+// soak, hunt, minimize, conform) whose code reads it.  Parsing, the
+// --help option lines and the mode check are all generated from that
+// table, so a new flag is one row.  An invocation resolves to exactly one
+// mode; a flag given in a mode whose code does not read it exits 2 with a
+// diagnostic instead of being silently ignored.
+//
 // Legacy bench binaries call run_preset() directly and keep only their
 // bespoke (non-grid) experiments.
 #pragma once

@@ -14,11 +14,6 @@
 
 namespace rts::campaign {
 
-namespace {
-
-/// Deterministic shortest-ish double rendering for machine output.  %.10g is
-/// stable across runs of the same binary (the only determinism the JSON
-/// byte-identity guarantee needs) and keeps integral values integral.
 std::string fmt_double(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof buffer, "%.10g", value);
@@ -45,6 +40,8 @@ std::string json_escape(std::string_view text) {
   }
   return out;
 }
+
+namespace {
 
 /// RFC 4180 field: quoted (inner quotes doubled) only when it holds a comma,
 /// a quote, or a line break; anything else is written as is.

@@ -27,6 +27,7 @@
 
 #include <cstdio>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "campaign/executor.hpp"
@@ -36,6 +37,15 @@ namespace rts::campaign {
 enum class ReportFormat { kTable, kJsonl, kCsv };
 
 std::optional<ReportFormat> parse_format(std::string_view name);
+
+/// Deterministic shortest-ish double rendering for machine output.  %.10g is
+/// stable across runs of the same binary (the only determinism the JSON
+/// byte-identity guarantee needs) and keeps integral values integral.
+std::string fmt_double(double value);
+
+/// The body of a JSON string literal: quotes and backslashes escaped,
+/// newlines as \n, every other byte below 0x20 as \u00XX.
+std::string json_escape(std::string_view text);
 
 /// True when the campaign opts into the extended reporter schema: any
 /// non-sim backend, or any adversary that may crash processes.

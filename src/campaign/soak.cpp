@@ -9,6 +9,7 @@
 #include <mutex>
 #include <thread>
 
+#include "campaign/reporter.hpp"
 #include "exec/backend.hpp"
 #include "hw/harness.hpp"
 #include "support/assert.hpp"
@@ -25,12 +26,6 @@ using Clock = std::chrono::steady_clock;
 /// derive_seed(arrival_seed, kRetrySalt + a), so retries draw fresh fault
 /// coins without perturbing any other arrival's stream.
 constexpr std::uint64_t kRetrySalt = 0xfa01'7e72;
-
-std::string fmt_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.10g", value);
-  return buffer;
-}
 
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
@@ -668,7 +663,8 @@ void report_soak_jsonl(const SoakSpec& spec,
                "{\"type\":\"soak\",\"schema\":\"rts-soak-3\",\"name\":\"%s\","
                "\"k\":%d,\"rate\":%s,\"duration_seconds\":%s,\"seed\":%llu,"
                "\"shards\":%d,\"algorithms\":%zu",
-               spec.name.c_str(), spec.k, fmt_double(spec.rate).c_str(),
+               json_escape(spec.name).c_str(), spec.k,
+               fmt_double(spec.rate).c_str(),
                fmt_double(spec.duration_seconds).c_str(),
                static_cast<unsigned long long>(spec.seed), spec.shards,
                results.size());
@@ -682,7 +678,8 @@ void report_soak_jsonl(const SoakSpec& spec,
                  static_cast<unsigned long long>(spec.shed_backlog));
   }
   if (spec.faults.active()) {
-    std::fprintf(out, ",\"faults_plan\":\"%s\"", spec.faults.spec.c_str());
+    std::fprintf(out, ",\"faults_plan\":\"%s\"",
+                 json_escape(spec.faults.spec).c_str());
   }
   std::fputs("}\n", out);
   for (const SoakResult& result : results) {

@@ -1,15 +1,20 @@
 // Tests for the campaign subsystem: grid expansion, preset registry
 // integrity, executor correctness (bitwise equal to the serial harness) and
 // scheduling-independence (identical reporter bytes for 1, 2, and 8
-// workers), and time-budget truncation.
+// workers), time-budget truncation, and the rts_bench CLI battery (which
+// invocations exit 2 before running anything).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
+
+#include <unistd.h>
 
 #include "campaign/cli.hpp"
 #include "campaign/executor.hpp"
@@ -458,6 +463,123 @@ TEST(CampaignPresets, FrozenPresetsStaySimOnlyAndCrashFree) {
                         std::string_view(preset.name) == "conformance";
     EXPECT_EQ(extended_schema(preset.spec), is_new) << preset.name;
   }
+}
+
+
+// ---------------------------------------------------------- CLI battery --
+
+/// Runs rts_bench in-process; returns its exit status and what it printed
+/// on stdout.
+int run_rts_bench(std::vector<std::string> args, std::string* out) {
+  args.insert(args.begin(), "rts_bench");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  testing::internal::CaptureStdout();
+  const int status = run_cli(static_cast<int>(args.size()), argv.data());
+  *out = testing::internal::GetCapturedStdout();
+  return status;
+}
+
+/// Every output path of the battery lives in one scratch directory that
+/// holds only a copy of a corpus trace (for --minimize), so a run that
+/// started would leave something behind.
+class CliBattery : public testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("rts-cli-battery-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    std::filesystem::copy_file(
+        std::string(RTS_TEST_DATA_DIR) +
+            "/corpus/worstcase-logstar-attack-ge-k10-winner-steps.rtst",
+        dir_ / "trace.rtst");
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string path(const char* name) const { return (dir_ / name).string(); }
+
+  /// `args` must exit 2 before any campaign, soak, hunt, minimization or
+  /// conformance run starts: nothing on stdout, nothing written.
+  void expect_rejected(const std::vector<std::string>& args) {
+    std::string invocation;
+    for (const std::string& arg : args) invocation += " " + arg;
+    std::string out;
+    EXPECT_EQ(run_rts_bench(args, &out), 2) << invocation;
+    EXPECT_EQ(out, "") << invocation;
+    const auto entries = std::distance(
+        std::filesystem::directory_iterator(dir_),
+        std::filesystem::directory_iterator());
+    EXPECT_EQ(entries, 1) << invocation << ": wrote into " << dir_;
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(CliBattery, OneWrongModeFlagPerModeIsRejected) {
+  // Each flag below is one the mode's code never reads.
+  expect_rejected({"--algos", "tournament", "--ks", "2", "--trials", "2",
+                   "--json", path("c.jsonl"), "--trial", "0"});
+  expect_rejected({"--soak", "0.2", "--rate", "50", "--algos", "tournament",
+                   "--ks", "2", "--workers", "7"});
+  expect_rejected({"--hunt", path("h"), "--algos", "logstar", "--ks", "4",
+                   "--trials", "4", "--workers", "4"});
+  expect_rejected({"--minimize", path("trace.rtst"), "--step-limit", "5"});
+  expect_rejected({"--conform", std::string(RTS_TEST_DATA_DIR) + "/golden",
+                   "--workers", "8"});
+}
+
+TEST_F(CliBattery, FlagsThatUsedToBeIgnoredAreRejected) {
+  expect_rejected({"--soak", "0.2", "--rate", "50", "--algos", "tournament",
+                   "--ks", "2", "--format", "csv", "--csv", path("x.csv"),
+                   "--workers", "7", "--pred", "max-steps"});
+  expect_rejected({"--conform", std::string(RTS_TEST_DATA_DIR) + "/golden",
+                   "--workers", "8", "--batch", "3", "--format", "csv",
+                   "--checkpoint", path("ck")});
+  expect_rejected({"--hunt", path("h"), "--algos", "logstar", "--ks", "4",
+                   "--trials", "4", "--json", path("h.jsonl"), "--workers",
+                   "4", "--batch", "8"});
+  expect_rejected({"--algos", "tournament", "--ks", "2", "--trials", "2",
+                   "--json", path("c.jsonl"), "--trial", "0",
+                   "--checkpoint-every", "5"});
+  expect_rejected({"--minimize", path("trace.rtst"), "--step-limit", "5"});
+  // --checkpoint-every without --checkpoint or --resume.
+  expect_rejected({"--algos", "tournament", "--ks", "2", "--trials", "2",
+                   "--json", path("c.jsonl"), "--checkpoint-every", "5"});
+}
+
+TEST_F(CliBattery, MalformedValuesAreStillRejected) {
+  // The CI rejection battery.
+  expect_rejected({"--algos", "tournament", "--ks", "banana", "--quiet"});
+  expect_rejected({"--algos", "tournament", "--ks", "0", "--quiet"});
+  expect_rejected({"--algos", "tournament", "--trials", "-5", "--quiet"});
+  expect_rejected({"--algos", "tournament", "--trials", "12junk", "--quiet"});
+  expect_rejected({"--soak", "1", "--rate", "100", "--pin", "x,y", "--quiet"});
+  expect_rejected({"--soak", "banana", "--rate", "100", "--quiet"});
+  expect_rejected({"--soak", "1", "--rate", "100", "--shards", "0", "--quiet"});
+  expect_rejected({"--algos", "tournament", "--seed", "-1", "--quiet"});
+  expect_rejected({"--algos", "logstar", "--ks", "2", "--trials", "2",
+                   "--batch", "65", "--quiet"});
+  expect_rejected({"--algos", "logstar", "--ks", "2", "--trials", "2",
+                   "--batch", "-1", "--quiet"});
+}
+
+TEST_F(CliBattery, ValidInvocationsStillRun) {
+  std::string out;
+  EXPECT_EQ(run_rts_bench({"--help"}, &out), 0);
+  EXPECT_NE(out.find("usage:"), std::string::npos);
+  const std::vector<std::string> grid = {"--algos", "logstar", "--ks", "2",
+                                         "--trials", "1", "--quiet",
+                                         "--format", "jsonl"};
+  std::string scalar;
+  EXPECT_EQ(run_rts_bench(grid, &scalar), 0);
+  EXPECT_NE(scalar.find("\"type\":\"cell\""), std::string::npos);
+  std::vector<std::string> batched = grid;
+  batched.insert(batched.end(), {"--batch", "64"});
+  std::string batched_out;
+  EXPECT_EQ(run_rts_bench(batched, &batched_out), 0);
+  EXPECT_EQ(batched_out, scalar);
 }
 
 }  // namespace

@@ -302,6 +302,37 @@ TEST(ShardedSoak, OutcomeTotalsInvariantAcrossShardCounts) {
   }
 }
 
+// ------------------------------------------------------ jsonl escaping --
+
+TEST(SoakJsonl, TabInTheFaultPlanIsEscaped) {
+  // The fault-plan grammar trims tabs, so a tab survives parsing into the
+  // plan's spec text; the header must still be one valid JSON line.
+  std::string error;
+  const auto plan = fault::FaultPlan::parse("noshow:\tp=0.1", &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  SoakSpec spec;
+  spec.faults = *plan;
+  const std::string jsonl = render(report_soak_jsonl, spec, {});
+  EXPECT_NE(jsonl.find("\"faults_plan\":\"noshow:\\u0009p=0.1\""),
+            std::string::npos)
+      << jsonl;
+  ASSERT_FALSE(jsonl.empty());
+  EXPECT_EQ(jsonl.find('\n'), jsonl.size() - 1);
+  for (std::size_t i = 0; i + 1 < jsonl.size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>(jsonl[i]), 0x20) << "byte " << i;
+  }
+}
+
+TEST(SoakJsonl, PlainHeaderBytesAreUnchanged) {
+  SoakSpec spec;
+  spec.faults = *fault::FaultPlan::parse("noshow:p=0.1", nullptr);
+  EXPECT_EQ(render(report_soak_jsonl, spec, {}),
+            "{\"type\":\"soak\",\"schema\":\"rts-soak-3\",\"name\":\"soak\","
+            "\"k\":4,\"rate\":1000,\"duration_seconds\":2,\"seed\":1,"
+            "\"shards\":1,\"algorithms\":0,"
+            "\"faults_plan\":\"noshow:p=0.1\"}\n");
+}
+
 // ------------------------------------------------- checked flag parsing --
 
 TEST(CheckedFlags, IntegerParserRejectsGarbage) {
