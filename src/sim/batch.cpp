@@ -1,64 +1,14 @@
 #include "sim/batch.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <string>
+#include <vector>
 
+#include "sim/runnable.hpp"
 #include "sim/runner.hpp"
 #include "support/assert.hpp"
 
 namespace rts::sim {
-
-void BatchRunnableSet::assign_full(int k) {
-  RTS_ASSERT(k >= 1);
-  num_words_ = (k + 63) / 64;
-  words_.assign(static_cast<std::size_t>(num_words_), ~0ULL);
-  const int tail = k & 63;
-  if (tail != 0) {
-    words_[static_cast<std::size_t>(num_words_ - 1)] = (1ULL << tail) - 1;
-  }
-  count_ = k;
-  fenwick_.assign(static_cast<std::size_t>(num_words_) + 1, 0);
-  for (int w = 0; w < num_words_; ++w) {
-    fenwick_[static_cast<std::size_t>(w + 1)] +=
-        std::popcount(words_[static_cast<std::size_t>(w)]);
-    const int parent = (w + 1) + ((w + 1) & -(w + 1));
-    if (parent <= num_words_) {
-      fenwick_[static_cast<std::size_t>(parent)] +=
-          fenwick_[static_cast<std::size_t>(w + 1)];
-    }
-  }
-  fenwick_mask_ = 1;
-  while (fenwick_mask_ * 2 <= num_words_) fenwick_mask_ *= 2;
-}
-
-void BatchRunnableSet::remove(int pid) {
-  RTS_ASSERT(contains(pid));
-  const int w = pid >> 6;
-  words_[static_cast<std::size_t>(w)] &=
-      ~(1ULL << (static_cast<unsigned>(pid) & 63u));
-  for (int i = w + 1; i <= num_words_; i += i & -i) {
-    --fenwick_[static_cast<std::size_t>(i)];
-  }
-  --count_;
-}
-
-int BatchRunnableSet::select(int i) const {
-  RTS_ASSERT(i >= 0 && i < count_);
-  int pos = 0;  // number of Fenwick prefixes consumed (word count)
-  int rem = i;
-  for (int step = fenwick_mask_; step > 0; step >>= 1) {
-    const int next = pos + step;
-    if (next <= num_words_ &&
-        fenwick_[static_cast<std::size_t>(next)] <= rem) {
-      pos = next;
-      rem -= fenwick_[static_cast<std::size_t>(next)];
-    }
-  }
-  std::uint64_t word = words_[static_cast<std::size_t>(pos)];
-  while (rem-- > 0) word &= word - 1;  // drop the rem lowest set bits
-  return (pos << 6) + std::countr_zero(word);
-}
 
 namespace {
 
@@ -147,7 +97,7 @@ class BatchEngine final : public BatchStream {
         break;
     }
     reset_bank();
-    runnable_.assign_full(k_);
+    runnable_.reset(k_);
     total_ = 0;
     for (int pid = 0; pid < k_; ++pid) {
       const auto idx = static_cast<std::size_t>(pid);
@@ -161,8 +111,7 @@ class BatchEngine final : public BatchStream {
       const auto idx = static_cast<std::size_t>(pid);
       const BatchAction action = algo_->start(pid, rngs_[idx]);
       if (action.kind == BatchAction::Kind::kFinish) {
-        outcomes_[idx] = action.outcome;
-        runnable_.remove(pid);
+        finish(pid, action.outcome);
       } else {
         pending_[idx] = action;
       }
@@ -181,6 +130,20 @@ class BatchEngine final : public BatchStream {
     return sched_.budgets[static_cast<std::size_t>(pid)];
   }
 
+  /// A pid's machine returned its outcome: it leaves the runnable set.
+  /// Machines finish with a win or a loss, never kUnknown, so "outcome
+  /// unknown and not crashed" is exactly "runnable".
+  void finish(int pid, Outcome outcome) {
+    RTS_ASSERT(outcome != Outcome::kUnknown);
+    outcomes_[static_cast<std::size_t>(pid)] = outcome;
+    runnable_.erase(pid);
+  }
+
+  bool runnable(int pid) const {
+    const auto idx = static_cast<std::size_t>(pid);
+    return outcomes_[idx] == Outcome::kUnknown && crashed_[idx] == 0;
+  }
+
   /// One adversary decision and its grant or crash -- the body of
   /// Kernel::run's loop after its empty-runnable and step-limit checks.
   void step() {
@@ -188,27 +151,25 @@ class BatchEngine final : public BatchStream {
     bool crash = false;
     switch (cfg_.sched) {
       case BatchSched::kUniformRandom:
-        pid = runnable_.select(static_cast<int>(
-            sched_.rng.draw(static_cast<std::uint64_t>(runnable_.count()))));
+        pid = runnable_[sched_.rng.draw(runnable_.size())];
         break;
       case BatchSched::kRoundRobin:
         for (int attempts = 0; attempts < k_; ++attempts) {
           const int candidate = sched_.rr_next;
           sched_.rr_next = (sched_.rr_next + 1) % k_;
-          if (runnable_.contains(candidate)) {
+          if (runnable(candidate)) {
             pid = candidate;
             break;
           }
         }
-        if (pid < 0) pid = runnable_.first();
+        if (pid < 0) pid = runnable_.front();
         break;
       case BatchSched::kSequential:
-        pid = runnable_.first();
+        pid = runnable_.front();
         break;
       case BatchSched::kCrashAfterOps:
-        pid = runnable_.select(static_cast<int>(
-            sched_.rng.draw(static_cast<std::uint64_t>(runnable_.count()))));
-        if (runnable_.count() > 1 &&
+        pid = runnable_[sched_.rng.draw(runnable_.size())];
+        if (runnable_.size() > 1 &&
             steps_[static_cast<std::size_t>(pid)] >= crash_budget(pid)) {
           crash = true;
         }
@@ -217,7 +178,7 @@ class BatchEngine final : public BatchStream {
     const auto idx = static_cast<std::size_t>(pid);
     if (crash) {
       crashed_[idx] = 1;
-      runnable_.remove(pid);
+      runnable_.erase(pid);
       return;
     }
     // Grant: execute the pending op against the bank, then advance the
@@ -237,8 +198,7 @@ class BatchEngine final : public BatchStream {
     ++steps_[idx];
     const BatchAction next = algo_->resume(pid, rngs_[idx], result);
     if (next.kind == BatchAction::Kind::kFinish) {
-      outcomes_[idx] = next.outcome;
-      runnable_.remove(pid);
+      finish(pid, next.outcome);
     } else {
       pending_[idx] = next;
     }
@@ -304,7 +264,7 @@ class BatchEngine final : public BatchStream {
   std::vector<std::uint8_t> crashed_;
   std::vector<BatchAction> pending_;
 
-  BatchRunnableSet runnable_;
+  RunnableVector runnable_;
   SchedState sched_;
   std::uint64_t total_ = 0;
 };

@@ -6,9 +6,14 @@
 // but every step is a fiber round-trip through a k-fiber working set of
 // stacks, and every register is a 48-byte accounting slot.  The batch
 // engine removes both: algorithms run as explicit state machines (no
-// fibers), register values live in one flat bank of 64-bit words with a
-// dirty-slot list, and the runnable set is a bitset with a Fenwick popcount
-// index (O(log(k/64)) select/remove).  The engine holds exactly one trial's
+// fibers) and register values live in one flat bank of 64-bit words with a
+// dirty-slot list.  The runnable set is the kernel's own pid-ordered vector
+// (sim/runnable.hpp): the scheduler picks on every step and a pick is one
+// index, while the O(k) erase runs only when a pid finishes or crashes, at
+// most k times per trial.  A logarithmic select index would pay its
+// descent on every step instead, so the vector wins wherever a trial takes
+// many steps per pid (ratrace-path, the combiners) and gives a little back
+// where it takes few (logstar).  The engine holds exactly one trial's
 // state -- one bank, one runnable set, one scheduler replica, per-pid
 // arrays of size k -- so its working set is that of a single trial and any
 // trial can be computed on its own, in any order.
@@ -32,7 +37,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "exec/backend.hpp"
 #include "sim/types.hpp"
@@ -135,34 +139,5 @@ inline constexpr int kMaxBatchLanes = 64;
 /// Builds the engine for a machine + config.
 std::unique_ptr<BatchStream> make_batch_stream(
     std::unique_ptr<BatchAlgorithm> algorithm, const BatchConfig& config);
-
-/// Pid-ordered runnable set over [0, k): a bitset with a Fenwick popcount
-/// index, giving O(log(k/64)) select-ith-smallest and remove -- the batch
-/// engine's counterpart of the kernel's sorted runnable vector (which keeps
-/// a plain vector because its uniform-random pick is one index, while a
-/// Fenwick select would run on every step).  Exposed for the property
-/// tests.
-class BatchRunnableSet {
- public:
-  void assign_full(int k);  // all of 0..k-1 runnable
-  void remove(int pid);
-  bool contains(int pid) const {
-    return (words_[static_cast<std::size_t>(pid >> 6)] >>
-            (static_cast<unsigned>(pid) & 63u)) &
-           1u;
-  }
-  int count() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  /// The i-th smallest runnable pid (0-indexed); requires i < count().
-  int select(int i) const;
-  int first() const { return select(0); }
-
- private:
-  std::vector<std::uint64_t> words_;
-  std::vector<std::int32_t> fenwick_;  // 1-based, over word popcounts
-  int num_words_ = 0;
-  int fenwick_mask_ = 0;  // highest power of two <= num_words_
-  int count_ = 0;
-};
 
 }  // namespace rts::sim

@@ -1,7 +1,5 @@
 #include "sim/kernel.hpp"
 
-#include <algorithm>
-
 #include "sim/adversary.hpp"
 #include "support/assert.hpp"
 
@@ -38,10 +36,11 @@ void Kernel::start() {
   for (auto& proc : processes_) {
     if (proc->state() == SimProcess::State::kUnstarted) proc->start();
   }
-  // Built after the prologues: a process that finished there never runs.
-  runnable_.reserve(processes_.size());
+  // Built after the prologues: a process that finished there (or crashed
+  // before start()) never runs.
+  runnable_.reset(num_processes());
   for (const auto& proc : processes_) {
-    if (proc->runnable()) runnable_.push_back(proc->pid());
+    if (!proc->runnable()) runnable_.erase(proc->pid());
   }
 }
 
@@ -68,12 +67,6 @@ std::vector<int> Kernel::runnable_pids() const {
     if (proc->runnable()) out.push_back(proc->pid());
   }
   return out;
-}
-
-void Kernel::erase_runnable(int pid) {
-  // Absent only for a pid crashed before start(): the set is not built yet.
-  const auto it = std::lower_bound(runnable_.begin(), runnable_.end(), pid);
-  if (it != runnable_.end() && *it == pid) runnable_.erase(it);
 }
 
 bool Kernel::all_done() const {
@@ -123,7 +116,7 @@ void Kernel::grant(int pid) {
   proc.resume_with_result(result);
   // A granted process either announced again (still runnable) or finished;
   // only the latter changes the runnable set.
-  if (proc.state() != SimProcess::State::kReady) erase_runnable(pid);
+  if (proc.state() != SimProcess::State::kReady) runnable_.erase(pid);
 }
 
 void Kernel::crash(int pid) {
@@ -133,7 +126,8 @@ void Kernel::crash(int pid) {
                      proc.state() == SimProcess::State::kUnstarted,
                  "crash of a process that already finished or crashed");
   proc.crash();
-  erase_runnable(pid);
+  // A no-op for a pid crashed before start(): the set is not built yet.
+  runnable_.erase(pid);
 }
 
 void Kernel::abort_request(int pid) {

@@ -17,6 +17,7 @@
 #include "rmr/model.hpp"
 #include "sim/memory.hpp"
 #include "sim/process.hpp"
+#include "sim/runnable.hpp"
 #include "sim/types.hpp"
 
 namespace rts::sim {
@@ -74,12 +75,14 @@ class Kernel {
   /// All pids currently announcing a pending op, in pid order.
   std::vector<int> runnable_pids() const;
   /// Allocation-free variant for the per-step scheduling loop: the kernel's
-  /// pid-ordered runnable set, kept exact at all times.  start() builds it
-  /// once after the prologues; a finish or crash erases one pid (binary
-  /// search), so a trial pays O(k) per finish in memmove at worst and never
-  /// rescans the processes.  Mutated by grant()/crash()/rewind(); do not
-  /// hold the reference across them.
-  const std::vector<int>& runnable_pids_cached() const { return runnable_; }
+  /// pid-ordered runnable set (sim/runnable.hpp), kept exact at all times.
+  /// start() builds it once after the prologues; a finish or crash erases
+  /// one pid (binary search), so a trial pays O(k) per finish in memmove at
+  /// worst and never rescans the processes.  Mutated by
+  /// grant()/crash()/rewind(); do not hold the reference across them.
+  const std::vector<int>& runnable_pids_cached() const {
+    return runnable_.pids();
+  }
   bool all_done() const;
 
   /// Executes pid's pending op and resumes it until the next announcement or
@@ -117,8 +120,6 @@ class Kernel {
   friend class SimProcess;
   friend class Context;
 
-  void erase_runnable(int pid);
-
   Options options_;
   SimMemory memory_;
   rmr::RmrCounter rmr_;
@@ -129,7 +130,7 @@ class Kernel {
   int abort_requests_ = 0;
   std::function<void(const OpRecord&)> op_observer_;
   std::vector<OpRecord> event_log_;
-  std::vector<int> runnable_;  // pid-ordered; empty until start()
+  RunnableVector runnable_;  // empty until start()
 };
 
 }  // namespace rts::sim

@@ -7,9 +7,10 @@
 // eligible catalogue (including crashing schedules and step-limit-starved
 // trials), check that ineligible pairs refuse a stream, that any trial
 // order yields the same summaries, and property-test the register-bank
-// reset and the Fenwick-indexed runnable set.
+// reset and the pid-ordered runnable vector both sim engines schedule from.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "exec/workspace.hpp"
 #include "rmr/model.hpp"
 #include "sim/batch.hpp"
+#include "sim/runnable.hpp"
 #include "sim/runner.hpp"
 #include "support/rng.hpp"
 
@@ -149,15 +151,28 @@ TEST(BatchInvariance, LaneCountNeverChangesResults) {
   }
 }
 
-TEST(BatchInvariance, WideCellsCrossTheRunnableWordBoundary) {
-  // k > 64 exercises the multi-word bitset + Fenwick select in the
-  // scheduler; crash cells retire pids from the middle of both words.
+TEST(BatchInvariance, WideCellsMatchScalarUnderEverySchedule) {
+  // Wide cells pick by rank out of hundreds of runnable pids for thousands
+  // of steps, and crash cells retire pids from the middle of the set: an
+  // off-by-one pick or a stale erase shows up within a trial.  The
+  // O(log k)-step ratrace-path and combined-sift cells are the batch
+  // engine's heaviest, so they run under every eligible schedule.
   for (const algo::AdversaryId adversary :
        {algo::AdversaryId::kUniformRandom, algo::AdversaryId::kCrashAfterOps,
         algo::AdversaryId::kRoundRobin}) {
     expect_bitwise_identical(algo::AlgorithmId::kLogStarChain, adversary,
                              /*n=*/80, /*k=*/80, /*trials=*/6, /*lanes=*/4,
                              /*step_limit=*/10'000'000);
+  }
+  for (const algo::AlgorithmId algorithm :
+       {algo::AlgorithmId::kRatRacePath, algo::AlgorithmId::kCombinedSift}) {
+    for (const algo::AdversaryId adversary :
+         {algo::AdversaryId::kUniformRandom, algo::AdversaryId::kCrashAfterOps,
+          algo::AdversaryId::kRoundRobin, algo::AdversaryId::kSequential}) {
+      expect_bitwise_identical(algorithm, adversary, /*n=*/256, /*k=*/256,
+                               /*trials=*/3, /*lanes=*/2,
+                               /*step_limit=*/10'000'000);
+    }
   }
 }
 
@@ -397,34 +412,42 @@ TEST(BatchInvariance, CampaignBatchKnobNeverChangesReporterBytes) {
   }
 }
 
-TEST(BatchRunnableSet, MatchesAReferenceSetUnderRandomRemovals) {
+TEST(RunnableVector, MatchesAReferenceVectorUnderRandomErases) {
   support::PrngSource rng(0x5e7ec7ULL);
-  for (const int k : {1, 2, 63, 64, 65, 200}) {
-    sim::BatchRunnableSet set;
-    set.assign_full(k);
+  for (const int k : {1, 2, 63, 64, 65, 1024}) {
+    sim::RunnableVector set;
+    set.reset(k);
     std::vector<int> reference(static_cast<std::size_t>(k));
     for (int pid = 0; pid < k; ++pid) {
       reference[static_cast<std::size_t>(pid)] = pid;
     }
     while (!reference.empty()) {
-      ASSERT_EQ(set.count(), static_cast<int>(reference.size()));
+      ASSERT_EQ(set.size(), reference.size()) << "k=" << k;
       ASSERT_FALSE(set.empty());
-      ASSERT_EQ(set.first(), reference.front());
-      for (int i = 0; i < static_cast<int>(reference.size()); ++i) {
-        ASSERT_EQ(set.select(i), reference[static_cast<std::size_t>(i)])
-            << "k=" << k;
+      ASSERT_EQ(set.front(), reference.front()) << "k=" << k;
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        ASSERT_EQ(set[i], reference[i]) << "k=" << k << " i=" << i;
       }
+      ASSERT_EQ(set.pids(), reference) << "k=" << k;
       const auto victim = static_cast<std::size_t>(rng.draw(reference.size()));
-      ASSERT_TRUE(set.contains(reference[victim]));
-      set.remove(reference[victim]);
-      ASSERT_FALSE(set.contains(reference[victim]));
+      const int pid = reference[victim];
+      set.erase(pid);
       reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(victim));
+      ASSERT_FALSE(std::binary_search(set.pids().begin(), set.pids().end(),
+                                      pid))
+          << "k=" << k << " pid=" << pid;
+      // Erasing an absent pid changes nothing (the kernel's crash before
+      // start() relies on it).
+      set.erase(pid);
+      ASSERT_EQ(set.size(), reference.size()) << "k=" << k;
     }
     ASSERT_TRUE(set.empty());
-    // Reusable: assign_full restores the freshly-built state.
-    set.assign_full(k);
-    ASSERT_EQ(set.count(), k);
-    ASSERT_EQ(set.first(), 0);
+    // Reusable: reset restores all of 0..k-1.
+    set.reset(k);
+    ASSERT_EQ(set.size(), static_cast<std::size_t>(k));
+    for (int pid = 0; pid < k; ++pid) {
+      ASSERT_EQ(set[static_cast<std::size_t>(pid)], pid) << "k=" << k;
+    }
   }
 }
 
