@@ -371,7 +371,9 @@ constexpr Flag kFlags[] = {
     {"--time-budget", "S", kGeneral, kCampaign, set<&CliArgs::time_budget>,
      "stop claiming trials after S seconds"},
     {"--step-limit", "N", kGeneral, kCampaign | kSoak | kHunt,
-     set<&CliArgs::step_limit, 1>, "per-trial kernel step budget"},
+     set<&CliArgs::step_limit, 1>,
+     "per-trial kernel step budget (trials\n"
+     "that hit it are reported, not errors)"},
     {"--progress", nullptr, kGeneral, kCampaign, set<&CliArgs::progress>,
      "live progress line on stderr"},
     {"--quiet", nullptr, kGeneral, kAnyMode, set<&CliArgs::quiet>,
@@ -1108,6 +1110,15 @@ int run_cli(int argc, char** argv) {
       }
     }
     for (const CellResult& cell : result.cells) {
+      if (cell.incomplete_runs > 0) {  // reported, not an error: exit 0
+        std::fprintf(stderr,
+                     "rts_bench: [%s] %s k=%d: %d trial%s hit the step limit "
+                     "(%llu steps)\n",
+                     spec.name.c_str(), algo::info(cell.cell.algorithm).name,
+                     cell.cell.k, cell.incomplete_runs,
+                     cell.incomplete_runs == 1 ? "" : "s",
+                     static_cast<unsigned long long>(cell.cell.step_limit));
+      }
       if (cell.error_runs == 0) continue;
       any_errored = true;
       std::fprintf(stderr, "rts_bench: [%s] %s k=%d: %d errored trial%s: %s\n",

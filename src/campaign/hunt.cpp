@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
-#include <sstream>
 
 #include "algo/registry.hpp"
 #include "exec/conformance.hpp"
@@ -13,6 +12,7 @@
 #include "sim/runner.hpp"
 #include "sim/trace.hpp"
 #include "support/assert.hpp"
+#include "support/json.hpp"
 
 namespace rts::campaign {
 
@@ -61,22 +61,20 @@ std::string corpus_filename(const HuntedCell& hunted,
   return name + "-" + family + ".rtst";
 }
 
-void json_entry(std::string& out, const HuntedCell& hunted) {
-  std::ostringstream line;
-  line << "    {\"file\":\"" << std::filesystem::path(hunted.file).filename().string()
-       << "\",\"campaign\":\"" << hunted.campaign << "\",\"algorithm\":\""
-       << hunted.algorithm << "\",\"adversary\":\"" << hunted.adversary
-       << "\",\"n\":" << hunted.cell.n << ",\"k\":" << hunted.cell.k;
+void write_entry(support::JsonWriter& json, const HuntedCell& hunted) {
+  json.begin_object().field(
+      "file", std::filesystem::path(hunted.file).filename().string(),
+      "campaign", hunted.campaign, "algorithm", hunted.algorithm,
+      "adversary", hunted.adversary, "n", hunted.cell.n, "k", hunted.cell.k);
   if (hunted.cell.rmr != rmr::RmrModel::kNone) {
-    line << ",\"rmr\":\"" << rmr::to_string(hunted.cell.rmr) << "\"";
+    json.field("rmr", rmr::to_string(hunted.cell.rmr));
   }
-  line << ",\"predicate\":\"" << hunted.predicate
-       << "\",\"worst_trial\":" << hunted.worst_trial
-       << ",\"metric\":" << hunted.metric
-       << ",\"original_actions\":" << hunted.stats.original_actions
-       << ",\"minimized_actions\":" << hunted.stats.minimized_actions
-       << ",\"evals\":" << hunted.stats.evals << "}";
-  out += line.str();
+  json.field("predicate", hunted.predicate, "worst_trial", hunted.worst_trial,
+             "metric", hunted.metric,
+             "original_actions", hunted.stats.original_actions,
+             "minimized_actions", hunted.stats.minimized_actions,
+             "evals", hunted.stats.evals)
+      .end_object();
 }
 
 /// Pulls `"key":<number>` out of a manifest line; -1 when absent.
@@ -194,21 +192,24 @@ std::vector<HuntedCell> run_hunt(const CampaignSpec& spec,
 
 void write_corpus_manifest(const std::string& path,
                            const std::vector<HuntedCell>& hunted) {
-  std::string out = "{\n  \"schema\": \"rts-corpus-manifest-1\",\n";
-  out += "  \"trace_format_version\": " +
-         std::to_string(sim::kTraceFormatVersion) + ",\n";
-  out += "  \"entries\": [\n";
+  // Pretty outer frame, one entry per line: conform_directory() reads the
+  // manifest line by line.
+  support::JsonWriter json;
+  json.raw("{\n  ").key("schema").raw(" ").value("rts-corpus-manifest-1");
+  json.raw(",\n  ").key("trace_format_version").raw(" ");
+  json.value(sim::kTraceFormatVersion);
+  json.raw(",\n  ").key("entries").raw(" [\n");
   bool first = true;
   for (const HuntedCell& entry : hunted) {
     if (entry.file.empty()) continue;
-    if (!first) out += ",\n";
+    json.raw(first ? "    " : ",\n    ");
     first = false;
-    json_entry(out, entry);
+    write_entry(json, entry);
   }
-  out += "\n  ]\n}\n";
+  json.raw("\n  ]\n}\n");
   std::FILE* file = std::fopen(path.c_str(), "w");
   RTS_REQUIRE(file != nullptr, ("cannot write '" + path + "'").c_str());
-  std::fwrite(out.data(), 1, out.size(), file);
+  std::fwrite(json.str().data(), 1, json.str().size(), file);
   std::fclose(file);
 }
 

@@ -203,8 +203,8 @@ std::vector<Preset> build_presets() {
                        "throughput reference)",
                        "the four Section 2-4 constructions at the moderate-"
                        "to-high contention their bounds are about; also the "
-                       "fixed workload bench_trialpath uses to track "
-                       "trials/sec of the pooled hot path",
+                       "fixed workload perfbench times on the fresh, "
+                       "pooled and batched trial paths",
                        spec});
   }
   {

@@ -14,42 +14,18 @@
 
 namespace rts::campaign {
 
-std::string fmt_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.10g", value);
-  return buffer;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char escaped[8];
-      std::snprintf(escaped, sizeof escaped, "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += escaped;
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
+using support::fmt_double;
 
 namespace {
 
 /// RFC 4180 field: quoted (inner quotes doubled) only when it holds a comma,
 /// a quote, or a line break; anything else is written as is.
 std::string csv_field(std::string_view text) {
-  if (text.find_first_of(",\"\r\n") == std::string_view::npos) {
+  if (text.find_first_of(",\r\n") == std::string_view::npos &&
+      text.find('"') == std::string_view::npos) {
     return std::string(text);
   }
-  std::string out = "\"";
+  std::string out(1, '"');
   for (const char c : text) {
     if (c == '"') out.push_back('"');
     out.push_back(c);
@@ -58,16 +34,13 @@ std::string csv_field(std::string_view text) {
   return out;
 }
 
-void print_summary_json(std::FILE* out, const char* key,
-                        const support::Accumulator& acc) {
+void write_summary(support::JsonWriter& json, std::string_view key,
+                   const support::Accumulator& acc) {
   const support::Summary s = support::summarize(acc);
-  std::fprintf(out,
-               "\"%s\":{\"mean\":%s,\"stddev\":%s,\"min\":%s,\"p50\":%s,"
-               "\"p95\":%s,\"max\":%s,\"ci95\":%s}",
-               key, fmt_double(s.mean).c_str(), fmt_double(s.stddev).c_str(),
-               fmt_double(s.min).c_str(), fmt_double(s.p50).c_str(),
-               fmt_double(s.p95).c_str(), fmt_double(s.max).c_str(),
-               fmt_double(s.ci95).c_str());
+  json.object(key)
+      .field("mean", s.mean, "stddev", s.stddev, "min", s.min,
+             "p50", s.p50, "p95", s.p95, "max", s.max, "ci95", s.ci95)
+      .end_object();
 }
 
 /// Latency histogram unit per backend: sim cells record per-trial max step
@@ -76,53 +49,44 @@ const char* latency_unit(exec::Backend backend) {
   return backend == exec::Backend::kHw ? "ns" : "steps";
 }
 
-void print_latency_json(std::FILE* out, const char* key,
-                        const telemetry::LatencyHistogram& h,
-                        const char* unit) {
-  std::fprintf(out,
-               "\"%s\":{\"unit\":\"%s\",\"count\":%llu,\"p50\":%llu,"
-               "\"p90\":%llu,\"p99\":%llu,\"p999\":%llu,\"max\":%llu}",
-               key, unit, static_cast<unsigned long long>(h.count()),
-               static_cast<unsigned long long>(h.p50()),
-               static_cast<unsigned long long>(h.p90()),
-               static_cast<unsigned long long>(h.p99()),
-               static_cast<unsigned long long>(h.p999()),
-               static_cast<unsigned long long>(h.max()));
+void write_backends(support::JsonWriter& json, const CampaignSpec& spec) {
+  json.array("backends");
+  for (const exec::Backend b : spec.backends) json.value(exec::to_string(b));
+  json.end_array();
 }
 
-/// Hardware-counter block; the caller must emit it only when perf.any() --
-/// an unavailable counter is *absent*, never rendered as a zero.
-void print_perf_json(std::FILE* out, const telemetry::PerfCounts& perf) {
-  std::fprintf(out, "\"perf\":{\"samples\":%llu",
-               static_cast<unsigned long long>(perf.samples));
-  for (std::size_t i = 0; i < telemetry::PerfCounts::kCounters; ++i) {
-    if (!perf.valid[i]) continue;
-    std::fprintf(out, ",\"%s\":%llu", telemetry::PerfCounts::name(i),
-                 static_cast<unsigned long long>(perf.value[i]));
-  }
-  std::fputc('}', out);
-}
-
-void print_backends_json(std::FILE* out, const CampaignSpec& spec) {
-  std::fputs("\"backends\":[", out);
-  for (std::size_t i = 0; i < spec.backends.size(); ++i) {
-    std::fprintf(out, "%s\"%s\"", i > 0 ? "," : "",
-                 exec::to_string(spec.backends[i]));
-  }
-  std::fputc(']', out);
-}
-
-/// Whether any cell has an errored trial; the table's error columns, the
-/// csv `first_error` column and the jsonl `errors` list appear only then,
-/// so error-free output keeps its bytes.
-bool any_errors(const CampaignResult& result) {
+/// Whether any cell has a trial counted in `count`.  The table's
+/// `incomplete` column, its error columns, the csv `first_error` column
+/// and the jsonl `errors` list appear only then, so output without such
+/// trials keeps its bytes.
+bool any_cell(const CampaignResult& result, int CellResult::*count) {
   for (const CellResult& cell : result.cells) {
-    if (cell.error_runs > 0) return true;
+    if (cell.*count > 0) return true;
   }
   return false;
 }
 
 }  // namespace
+
+void write_latency(support::JsonWriter& json, std::string_view key,
+                   const telemetry::LatencyHistogram& latency,
+                   const char* unit) {
+  json.object(key)
+      .field("unit", unit, "count", latency.count(),
+             "p50", latency.p50(), "p90", latency.p90(),
+             "p99", latency.p99(), "p999", latency.p999(),
+             "max", latency.max())
+      .end_object();
+}
+
+void write_perf(support::JsonWriter& json, const telemetry::PerfCounts& perf) {
+  json.object("perf").field("samples", perf.samples);
+  for (std::size_t i = 0; i < telemetry::PerfCounts::kCounters; ++i) {
+    if (!perf.valid[i]) continue;
+    json.field(telemetry::PerfCounts::name(i), perf.value[i]);
+  }
+  json.end_object();
+}
 
 std::optional<ReportFormat> parse_format(std::string_view name) {
   if (name == "table") return ReportFormat::kTable;
@@ -159,7 +123,8 @@ void report_table(const CampaignResult& result, std::FILE* out) {
   const bool extended = extended_schema(result.spec);
   const bool rmr = rmr_schema(result.spec);
   const bool chaos = chaos_schema(result);
-  const bool errors = any_errors(result);
+  const bool incomplete = any_cell(result, &CellResult::incomplete_runs);
+  const bool errors = any_cell(result, &CellResult::error_runs);
   // One table per (backend, adversary) group actually present in the
   // cells, in first-appearance order -- the reporter never re-derives
   // expand()'s grid rules (e.g. the hw adversary collapse), so it cannot
@@ -211,6 +176,7 @@ void report_table(const CampaignResult& result, std::FILE* out) {
         columns.push_back("p99 us");
         columns.push_back("p999 us");
       }
+      if (incomplete) columns.push_back("incomplete");
       if (errors) {
         columns.push_back("errors");
         columns.push_back("first error");
@@ -267,6 +233,10 @@ void report_table(const CampaignResult& result, std::FILE* out) {
           row.push_back(support::Table::num(
               static_cast<double>(cell.agg.latency.p999()) / 1e3, 1));
         }
+        if (incomplete) {
+          row.push_back(support::Table::num(
+              static_cast<std::size_t>(cell.incomplete_runs)));
+        }
         if (errors) {
           row.push_back(
               support::Table::num(static_cast<std::size_t>(cell.error_runs)));
@@ -284,112 +254,79 @@ void report_jsonl(const CampaignResult& result, std::FILE* out) {
   const bool extended = extended_schema(result.spec);
   const bool rmr = rmr_schema(result.spec);
   const bool chaos = chaos_schema(result);
-  std::fprintf(out,
-               "{\"type\":\"campaign\",\"name\":\"%s\",\"seed\":%llu,"
-               "\"trials\":%d,\"cells\":%zu,",
-               json_escape(result.spec.name).c_str(),
-               static_cast<unsigned long long>(result.spec.seed),
-               result.spec.trials, result.cells.size());
+  const std::string& name = result.spec.name;
+  support::JsonWriter json;
+  json.begin_object().field("type", "campaign", "name", name,
+                            "seed", result.spec.seed,
+                            "trials", result.spec.trials,
+                            "cells", result.cells.size());
   if (extended) {
-    print_backends_json(out, result.spec);
-    std::fprintf(out, ",\"spec_hash\":\"%016llx\",",
-                 static_cast<unsigned long long>(spec_hash(result.spec)));
+    write_backends(json, result.spec);
+    json.field("spec_hash", support::hex64(spec_hash(result.spec)));
   }
-  std::fprintf(out, "\"truncated\":%s",
-               result.truncated ? "true" : "false");
+  json.field("truncated", result.truncated);
   if (chaos) {
     // Planned first-attempt injections (deterministic; see executor.hpp) --
     // worker deaths are wall-clock-dependent and deliberately absent.
-    std::fprintf(out,
-                 ",\"faults\":{\"plan\":\"%s\",\"stalls\":%llu,"
-                 "\"no_shows\":%llu,\"delays\":%llu},\"deadlines\":%s",
-                 json_escape(result.fault_spec).c_str(),
-                 static_cast<unsigned long long>(result.faults.stalls),
-                 static_cast<unsigned long long>(result.faults.no_shows),
-                 static_cast<unsigned long long>(result.faults.delays),
-                 result.deadlines ? "true" : "false");
+    json.object("faults")
+        .field("plan", result.fault_spec, "stalls", result.faults.stalls,
+               "no_shows", result.faults.no_shows,
+               "delays", result.faults.delays)
+        .end_object()
+        .field("deadlines", result.deadlines);
   }
-  if (result.interrupted) std::fputs(",\"interrupted\":true", out);
-  std::fputs("}\n", out);
+  if (result.interrupted) json.field("interrupted", true);
+  json.end_object().raw("\n");
   for (const CellResult& cell : result.cells) {
-    std::fprintf(
-        out, "{\"type\":\"cell\",\"campaign\":\"%s\",",
-        json_escape(result.spec.name).c_str());
-    if (extended) {
-      std::fprintf(out, "\"backend\":\"%s\",",
-                   exec::to_string(cell.cell.backend));
-    }
-    if (rmr) {
-      std::fprintf(out, "\"rmr\":\"%s\",", rmr::to_string(cell.cell.rmr));
-    }
-    std::fprintf(
-        out,
-        "\"algorithm\":\"%s\","
-        "\"adversary\":\"%s\",\"n\":%d,\"k\":%d,\"trials\":%d,"
-        "\"trials_run\":%d,\"seed0\":%llu,\"declared_registers\":%zu,"
-        "\"violation_runs\":%d,\"incomplete_runs\":%d,\"error_runs\":%d,",
-        algo::info(cell.cell.algorithm).name,
-        algo::info(cell.cell.adversary).name, cell.cell.n, cell.cell.k,
-        cell.cell.trials, cell.trials_run,
-        static_cast<unsigned long long>(cell.cell.seed0),
-        cell.declared_registers, cell.agg.violation_runs,
-        cell.incomplete_runs, cell.error_runs);
+    const CellSpec& c = cell.cell;
+    json.begin_object().field("type", "cell", "campaign", name);
+    if (extended) json.field("backend", exec::to_string(c.backend));
+    if (rmr) json.field("rmr", rmr::to_string(c.rmr));
+    json.field("algorithm", algo::info(c.algorithm).name,
+               "adversary", algo::info(c.adversary).name,
+               "n", c.n, "k", c.k, "trials", c.trials,
+               "trials_run", cell.trials_run, "seed0", c.seed0,
+               "declared_registers", cell.declared_registers,
+               "violation_runs", cell.agg.violation_runs,
+               "incomplete_runs", cell.incomplete_runs,
+               "error_runs", cell.error_runs);
     if (cell.error_runs > 0) {
       // The reasons of the cell's first errored trials (at most three).
-      std::fputs("\"errors\":[", out);
-      for (std::size_t i = 0; i < cell.first_errors.size(); ++i) {
-        std::fprintf(out, "%s\"%s\"", i > 0 ? "," : "",
-                     json_escape(cell.first_errors[i]).c_str());
-      }
-      std::fputs("],", out);
+      json.array("errors");
+      for (const std::string& error : cell.first_errors) json.value(error);
+      json.end_array();
     }
     if (chaos) {
-      std::fprintf(out,
-                   "\"timed_out_runs\":%d,\"retried_runs\":%d,"
-                   "\"retries_total\":%llu,",
-                   cell.agg.timed_out_runs, cell.agg.retried_runs,
-                   static_cast<unsigned long long>(cell.agg.retries_total));
+      json.field("timed_out_runs", cell.agg.timed_out_runs,
+                 "retried_runs", cell.agg.retried_runs,
+                 "retries_total", cell.agg.retries_total);
     }
-    if (extended) {
-      std::fprintf(out, "\"crashed_runs\":%d,", cell.agg.crashed_runs);
-    }
-    print_summary_json(out, "max_steps", cell.agg.max_steps);
-    std::fputc(',', out);
-    print_summary_json(out, "mean_steps", cell.agg.mean_steps);
-    std::fputc(',', out);
-    print_summary_json(out, "total_steps", cell.agg.total_steps);
-    std::fputc(',', out);
-    print_summary_json(out, "regs_touched", cell.agg.regs_touched);
+    if (extended) json.field("crashed_runs", cell.agg.crashed_runs);
+    write_summary(json, "max_steps", cell.agg.max_steps);
+    write_summary(json, "mean_steps", cell.agg.mean_steps);
+    write_summary(json, "total_steps", cell.agg.total_steps);
+    write_summary(json, "regs_touched", cell.agg.regs_touched);
     if (rmr) {
-      std::fprintf(out, ",\"aborted_runs\":%d,", cell.agg.aborted_runs);
-      print_summary_json(out, "rmr_total", cell.agg.rmr_total);
-      std::fputc(',', out);
-      print_summary_json(out, "rmr_max", cell.agg.rmr_max);
+      json.field("aborted_runs", cell.agg.aborted_runs);
+      write_summary(json, "rmr_total", cell.agg.rmr_total);
+      write_summary(json, "rmr_max", cell.agg.rmr_max);
     }
-    if (extended) {
-      std::fputc(',', out);
-      print_summary_json(out, "unfinished", cell.agg.unfinished);
-      if (cell.cell.backend == exec::Backend::kHw) {
-        std::fputc(',', out);
-        print_summary_json(out, "wall_seconds", cell.agg.wall_seconds);
-      }
+    if (extended) write_summary(json, "unfinished", cell.agg.unfinished);
+    if (extended && c.backend == exec::Backend::kHw) {
+      write_summary(json, "wall_seconds", cell.agg.wall_seconds);
     }
-    std::fputc(',', out);
-    print_latency_json(out, "latency", cell.agg.latency,
-                       latency_unit(cell.cell.backend));
-    if (extended && cell.perf.any()) {
-      std::fputc(',', out);
-      print_perf_json(out, cell.perf);
-    }
-    std::fprintf(out, "}\n");
+    write_latency(json, "latency", cell.agg.latency, latency_unit(c.backend));
+    if (extended && cell.perf.any()) write_perf(json, cell.perf);
+    json.end_object().raw("\n");
   }
+  std::fputs(json.str().c_str(), out);
 }
 
 void report_csv(const CampaignResult& result, std::FILE* out,
                 bool force_extended, bool force_rmr) {
   const bool extended = force_extended || extended_schema(result.spec);
   const bool rmr = force_rmr || rmr_schema(result.spec);
-  const bool errors = any_errors(result);
+  const bool errors = any_cell(result, &CellResult::error_runs);
   std::fprintf(out,
                "campaign,%salgorithm,adversary,n,k,trials_run,seed0,"
                "declared_registers,max_steps_mean,max_steps_ci95,"
@@ -491,127 +428,95 @@ void report(const CampaignResult& result, ReportFormat format,
 
 void report_bench_json(const CampaignResult& result, std::FILE* out) {
   std::uint64_t trials_run = 0;
+  // Campaign-level latency beside trials_per_second: one merged histogram
+  // per backend (units differ, so they must not be merged together).
+  telemetry::LatencyHistogram latency[2];  // indexed by exec::Backend
   for (const CellResult& cell : result.cells) {
     trials_run += static_cast<std::uint64_t>(cell.trials_run);
+    latency[static_cast<int>(cell.cell.backend)].merge(cell.agg.latency);
   }
   const double trials_per_second =
       result.wall_seconds > 0.0
           ? static_cast<double>(trials_run) / result.wall_seconds
           : 0.0;
-  std::fprintf(out,
-               "{\"schema\":\"rts-bench-1\",\"name\":\"%s\","
-               "\"spec_hash\":\"%016llx\",",
-               json_escape(result.spec.name).c_str(),
-               static_cast<unsigned long long>(spec_hash(result.spec)));
-  print_backends_json(out, result.spec);
-  std::fprintf(out,
-               ",\"seed\":%llu,\"trials\":%d,\"workers\":%d,"
-               "\"wall_seconds\":%s,\"trials_per_second\":%s,",
-               static_cast<unsigned long long>(result.spec.seed),
-               result.spec.trials, result.workers_used,
-               fmt_double(result.wall_seconds).c_str(),
-               fmt_double(trials_per_second).c_str());
-  {
-    // Campaign-level latency beside trials_per_second: one merged histogram
-    // per backend (units differ, so they must not be merged together).
-    telemetry::LatencyHistogram sim_latency;
-    telemetry::LatencyHistogram hw_latency;
-    for (const CellResult& cell : result.cells) {
-      (cell.cell.backend == exec::Backend::kHw ? hw_latency : sim_latency)
-          .merge(cell.agg.latency);
-    }
-    std::fputs("\"latency\":{", out);
-    if (!sim_latency.empty()) {
-      print_latency_json(out, "sim", sim_latency,
-                         latency_unit(exec::Backend::kSim));
-    }
-    if (!hw_latency.empty()) {
-      if (!sim_latency.empty()) std::fputc(',', out);
-      print_latency_json(out, "hw", hw_latency,
-                         latency_unit(exec::Backend::kHw));
-    }
-    std::fputs("},", out);
+  support::JsonWriter json;
+  json.begin_object()
+      .field("schema", "rts-bench-1", "name", result.spec.name,
+             "spec_hash", support::hex64(spec_hash(result.spec)));
+  write_backends(json, result.spec);
+  json.field("seed", result.spec.seed, "trials", result.spec.trials,
+             "workers", result.workers_used,
+             "wall_seconds", result.wall_seconds,
+             "trials_per_second", trials_per_second);
+  json.object("latency");
+  for (const exec::Backend b : {exec::Backend::kSim, exec::Backend::kHw}) {
+    const telemetry::LatencyHistogram& h = latency[static_cast<int>(b)];
+    if (!h.empty()) write_latency(json, exec::to_string(b), h, latency_unit(b));
   }
-  std::fprintf(out,
-               "\"sim_steps\":%llu,\"hw_steps\":%llu,"
-               "\"truncated\":%s,\"cells\":[",
-               static_cast<unsigned long long>(result.sim_steps),
-               static_cast<unsigned long long>(result.hw_steps),
-               result.truncated ? "true" : "false");
-  for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    const CellResult& cell = result.cells[i];
-    std::fprintf(
-        out,
-        "%s{\"backend\":\"%s\",\"algorithm\":\"%s\",\"adversary\":\"%s\","
-        "\"n\":%d,\"k\":%d,\"trials_run\":%d,\"declared_registers\":%zu,"
-        "\"max_steps_mean\":%s,\"mean_steps_mean\":%s,"
-        "\"regs_touched_mean\":%s,\"wall_seconds_mean\":%s,"
-        "\"violation_runs\":%d,\"crashed_runs\":%d,\"incomplete_runs\":%d,"
-        "\"error_runs\":%d,",
-        i > 0 ? "," : "", exec::to_string(cell.cell.backend),
-        algo::info(cell.cell.algorithm).name,
-        algo::info(cell.cell.adversary).name, cell.cell.n, cell.cell.k,
-        cell.trials_run, cell.declared_registers,
-        fmt_double(cell.agg.max_steps.mean()).c_str(),
-        fmt_double(cell.agg.mean_steps.mean()).c_str(),
-        fmt_double(cell.agg.regs_touched.mean()).c_str(),
-        fmt_double(cell.agg.wall_seconds.mean()).c_str(),
-        cell.agg.violation_runs, cell.agg.crashed_runs,
-        cell.incomplete_runs, cell.error_runs);
+  json.end_object().field("sim_steps", result.sim_steps,
+                          "hw_steps", result.hw_steps,
+                          "truncated", result.truncated);
+  json.array("cells");
+  for (const CellResult& cell : result.cells) {
+    const CellSpec& c = cell.cell;
+    const exec::Aggregate& agg = cell.agg;
+    json.begin_object().field(
+        "backend", exec::to_string(c.backend),
+        "algorithm", algo::info(c.algorithm).name,
+        "adversary", algo::info(c.adversary).name, "n", c.n, "k", c.k,
+        "trials_run", cell.trials_run,
+        "declared_registers", cell.declared_registers,
+        "max_steps_mean", agg.max_steps.mean(),
+        "mean_steps_mean", agg.mean_steps.mean(),
+        "regs_touched_mean", agg.regs_touched.mean(),
+        "wall_seconds_mean", agg.wall_seconds.mean(),
+        "violation_runs", agg.violation_runs,
+        "crashed_runs", agg.crashed_runs,
+        "incomplete_runs", cell.incomplete_runs,
+        "error_runs", cell.error_runs);
     if (rmr_schema(result.spec)) {
-      std::fprintf(out,
-                   "\"rmr\":\"%s\",\"rmr_total_mean\":%s,"
-                   "\"rmr_max_mean\":%s,\"aborted_runs\":%d,",
-                   rmr::to_string(cell.cell.rmr),
-                   fmt_double(cell.agg.rmr_total.mean()).c_str(),
-                   fmt_double(cell.agg.rmr_max.mean()).c_str(),
-                   cell.agg.aborted_runs);
+      json.field("rmr", rmr::to_string(c.rmr),
+                 "rmr_total_mean", agg.rmr_total.mean(),
+                 "rmr_max_mean", agg.rmr_max.mean(),
+                 "aborted_runs", agg.aborted_runs);
     }
-    print_latency_json(out, "latency", cell.agg.latency,
-                       latency_unit(cell.cell.backend));
-    if (cell.perf.any()) {
-      std::fputc(',', out);
-      print_perf_json(out, cell.perf);
-    }
-    std::fputc('}', out);
+    write_latency(json, "latency", agg.latency, latency_unit(c.backend));
+    if (cell.perf.any()) write_perf(json, cell.perf);
+    json.end_object();
   }
-  std::fprintf(out, "]}\n");
+  json.end_array().end_object().raw("\n");
+  std::fputs(json.str().c_str(), out);
 }
 
 void report_trace_manifest(const CampaignResult& result, std::FILE* out,
                            const std::vector<int>* trials_recorded) {
-  std::fprintf(out,
-               "{\"schema\":\"rts-trace-manifest-1\",\"campaign\":\"%s\","
-               "\"spec_hash\":\"%016llx\",\"format_version\":%llu,"
-               "\"trials\":%d,\"truncated\":%s,\"sim_cells\":[",
-               json_escape(result.spec.name).c_str(),
-               static_cast<unsigned long long>(spec_hash(result.spec)),
-               static_cast<unsigned long long>(sim::kTraceFormatVersion),
-               result.spec.trials, result.truncated ? "true" : "false");
-  bool first = true;
+  support::JsonWriter json;
+  json.begin_object().field(
+      "schema", "rts-trace-manifest-1", "campaign", result.spec.name,
+      "spec_hash", support::hex64(spec_hash(result.spec)),
+      "format_version", sim::kTraceFormatVersion,
+      "trials", result.spec.trials, "truncated", result.truncated);
+  json.array("sim_cells");
   for (const CellResult& cell : result.cells) {
-    if (cell.cell.backend != exec::Backend::kSim) continue;
+    const CellSpec& c = cell.cell;
+    if (c.backend != exec::Backend::kSim) continue;
     const int recorded =
         trials_recorded != nullptr
-            ? (*trials_recorded)[static_cast<std::size_t>(cell.cell.index)]
+            ? (*trials_recorded)[static_cast<std::size_t>(c.index)]
             : cell.trials_run;
-    std::fprintf(
-        out,
-        "%s{\"cell\":%d,\"file\":\"%s\",\"algorithm\":\"%s\","
-        "\"adversary\":\"%s\",\"n\":%d,\"k\":%d,\"trials_recorded\":%d",
-        first ? "" : ",", cell.cell.index,
-        sim::cell_trace_filename(cell.cell.index).c_str(),
-        algo::info(cell.cell.algorithm).name,
-        algo::info(cell.cell.adversary).name, cell.cell.n, cell.cell.k,
-        recorded);
+    json.begin_object().field(
+        "cell", c.index, "file", sim::cell_trace_filename(c.index),
+        "algorithm", algo::info(c.algorithm).name,
+        "adversary", algo::info(c.adversary).name,
+        "n", c.n, "k", c.k, "trials_recorded", recorded);
     // Additive: pre-RMR manifests carry no rmr key at all.
-    if (cell.cell.rmr != rmr::RmrModel::kNone) {
-      std::fprintf(out, ",\"rmr\":\"%s\"", rmr::to_string(cell.cell.rmr));
+    if (c.rmr != rmr::RmrModel::kNone) {
+      json.field("rmr", rmr::to_string(c.rmr));
     }
-    std::fputc('}', out);
-    first = false;
+    json.end_object();
   }
-  std::fprintf(out, "]}\n");
+  json.end_array().end_object().raw("\n");
+  std::fputs(json.str().c_str(), out);
 }
 
 std::string render_to_string(const CampaignResult& result,

@@ -23,6 +23,8 @@
 // The BENCH_*.json trajectory writer is separate: one JSON document per
 // campaign run with the spec hash and executor wall time, explicitly
 // outside the deterministic-bytes contract.
+//
+// Every JSON document here is assembled through support::JsonWriter.
 #pragma once
 
 #include <cstdio>
@@ -31,21 +33,13 @@
 #include <string_view>
 
 #include "campaign/executor.hpp"
+#include "support/json.hpp"
 
 namespace rts::campaign {
 
 enum class ReportFormat { kTable, kJsonl, kCsv };
 
 std::optional<ReportFormat> parse_format(std::string_view name);
-
-/// Deterministic shortest-ish double rendering for machine output.  %.10g is
-/// stable across runs of the same binary (the only determinism the JSON
-/// byte-identity guarantee needs) and keeps integral values integral.
-std::string fmt_double(double value);
-
-/// The body of a JSON string literal: quotes and backslashes escaped,
-/// newlines as \n, every other byte below 0x20 as \u00XX.
-std::string json_escape(std::string_view text);
 
 /// True when the campaign opts into the extended reporter schema: any
 /// non-sim backend, or any adversary that may crash processes.
@@ -89,6 +83,16 @@ void report_bench_json(const CampaignResult& result, std::FILE* out);
 /// humans; the binary .rtst headers are what --replay validates.
 void report_trace_manifest(const CampaignResult& result, std::FILE* out,
                            const std::vector<int>* trials_recorded = nullptr);
+
+/// `"key":{"unit":..,"count":..,"p50":..,...,"max":..}` for every campaign
+/// and soak document; callers that keep an empty histogram absent skip it.
+void write_latency(support::JsonWriter& json, std::string_view key,
+                   const telemetry::LatencyHistogram& latency,
+                   const char* unit);
+
+/// `"perf":{"samples":..,<valid counters>}`.  Callers write it only when
+/// perf.any(): an unavailable counter is absent, never rendered as a zero.
+void write_perf(support::JsonWriter& json, const telemetry::PerfCounts& perf);
 
 /// Renders a whole campaign through one reporter into a string (used by the
 /// determinism tests and the CLI's --json/--csv file sinks).

@@ -535,14 +535,40 @@ std::string latency_cell(const telemetry::LatencyHistogram& latency,
   return latency.empty() ? "-" : format_ns(value);
 }
 
+/// Completed elections per wall-clock second.
+double throughput(const SoakResult& result) {
+  return result.wall_seconds > 0.0
+             ? static_cast<double>(result.completed) / result.wall_seconds
+             : 0.0;
+}
+
+/// The outcome taxonomy and the latency and perf blocks of a merged cell
+/// (SoakResult) or a shard block (ShardStats).  Latency and perf are
+/// absent, never zero, when there is nothing to report: a run where every
+/// election was shed or timed out has no latency distribution, and an
+/// unavailable counter is not a measured zero.
+template <typename Stats>
+void write_outcomes(support::JsonWriter& json, const Stats& s) {
+  json.object("outcomes")
+      .field("completed", s.completed, "timed_out", s.timed_out,
+             "retried", s.retried, "shed", s.shed)
+      .end_object();
+}
+
+template <typename Stats>
+void write_observed(support::JsonWriter& json, const Stats& s) {
+  if (!s.latency.empty()) write_latency(json, "latency", s.latency, "ns");
+  if (s.perf.any()) write_perf(json, s.perf);
+}
+
 }  // namespace
 
 void report_soak_table(const SoakSpec& spec,
                        const std::vector<SoakResult>& results,
                        std::FILE* out) {
   std::string title = spec.name + ": open-loop soak, hw backend, target " +
-                      fmt_double(spec.rate) + "/s for " +
-                      fmt_double(spec.duration_seconds) + "s, " +
+                      support::fmt_double(spec.rate) + "/s for " +
+                      support::fmt_double(spec.duration_seconds) + "s, " +
                       std::to_string(spec.shards) +
                       (spec.shards == 1 ? " shard" : " shards");
   support::Table table(title,
@@ -550,10 +576,6 @@ void report_soak_table(const SoakSpec& spec,
                         "retried", "throughput/s", "max backlog", "p50", "p90",
                         "p99", "p999", "max", "viol", "incomplete"});
   for (const SoakResult& result : results) {
-    const double throughput =
-        result.wall_seconds > 0.0
-            ? static_cast<double>(result.completed) / result.wall_seconds
-            : 0.0;
     table.add_row(
         {algo::info(result.algorithm).name,
          support::Table::num(static_cast<std::size_t>(result.k)),
@@ -562,7 +584,7 @@ void report_soak_table(const SoakSpec& spec,
          support::Table::num(static_cast<std::size_t>(result.timed_out)),
          support::Table::num(static_cast<std::size_t>(result.shed)),
          support::Table::num(static_cast<std::size_t>(result.retried)),
-         support::Table::num(throughput, 0),
+         support::Table::num(throughput(result), 0),
          support::Table::num(static_cast<std::size_t>(result.max_backlog)),
          latency_cell(result.latency, result.latency.p50()),
          latency_cell(result.latency, result.latency.p90()),
@@ -620,129 +642,55 @@ void report_soak_table(const SoakSpec& spec,
   }
 }
 
-namespace {
-
-/// The latency block, shared by the merged cell and the per-shard blocks.
-/// Absent (nothing printed) for the empty histogram: a run where every
-/// election was shed or timed out has no latency distribution, and zero
-/// percentiles would fabricate one -- the same unavailable-not-zero
-/// contract the perf block follows.
-void print_latency_block(std::FILE* out,
-                         const telemetry::LatencyHistogram& latency) {
-  if (latency.empty()) return;
-  std::fprintf(
-      out,
-      ",\"latency\":{\"unit\":\"ns\",\"count\":%llu,\"p50\":%llu,"
-      "\"p90\":%llu,\"p99\":%llu,\"p999\":%llu,\"max\":%llu}",
-      static_cast<unsigned long long>(latency.count()),
-      static_cast<unsigned long long>(latency.p50()),
-      static_cast<unsigned long long>(latency.p90()),
-      static_cast<unsigned long long>(latency.p99()),
-      static_cast<unsigned long long>(latency.p999()),
-      static_cast<unsigned long long>(latency.max()));
-}
-
-void print_perf_block(std::FILE* out, const telemetry::PerfCounts& perf) {
-  if (!perf.any()) return;
-  std::fprintf(out, ",\"perf\":{\"samples\":%llu",
-               static_cast<unsigned long long>(perf.samples));
-  for (std::size_t i = 0; i < telemetry::PerfCounts::kCounters; ++i) {
-    if (!perf.valid[i]) continue;
-    std::fprintf(out, ",\"%s\":%llu", telemetry::PerfCounts::name(i),
-                 static_cast<unsigned long long>(perf.value[i]));
-  }
-  std::fputc('}', out);
-}
-
-}  // namespace
-
 void report_soak_jsonl(const SoakSpec& spec,
                        const std::vector<SoakResult>& results,
                        std::FILE* out) {
-  std::fprintf(out,
-               "{\"type\":\"soak\",\"schema\":\"rts-soak-3\",\"name\":\"%s\","
-               "\"k\":%d,\"rate\":%s,\"duration_seconds\":%s,\"seed\":%llu,"
-               "\"shards\":%d,\"algorithms\":%zu",
-               json_escape(spec.name).c_str(), spec.k,
-               fmt_double(spec.rate).c_str(),
-               fmt_double(spec.duration_seconds).c_str(),
-               static_cast<unsigned long long>(spec.seed), spec.shards,
-               results.size());
+  support::JsonWriter json;
+  json.begin_object().field(
+      "type", "soak", "schema", "rts-soak-3", "name", spec.name, "k", spec.k,
+      "rate", spec.rate, "duration_seconds", spec.duration_seconds,
+      "seed", spec.seed, "shards", spec.shards,
+      "algorithms", results.size());
   if (spec.deadline_ns > 0) {
-    std::fprintf(out, ",\"deadline_ns\":%llu,\"max_retries\":%d",
-                 static_cast<unsigned long long>(spec.deadline_ns),
-                 spec.max_retries);
+    json.field("deadline_ns", spec.deadline_ns,
+               "max_retries", spec.max_retries);
   }
-  if (spec.shed_backlog > 0) {
-    std::fprintf(out, ",\"shed_backlog\":%llu",
-                 static_cast<unsigned long long>(spec.shed_backlog));
-  }
-  if (spec.faults.active()) {
-    std::fprintf(out, ",\"faults_plan\":\"%s\"",
-                 json_escape(spec.faults.spec).c_str());
-  }
-  std::fputs("}\n", out);
+  if (spec.shed_backlog > 0) json.field("shed_backlog", spec.shed_backlog);
+  if (spec.faults.active()) json.field("faults_plan", spec.faults.spec);
+  json.end_object().raw("\n");
   for (const SoakResult& result : results) {
-    const double throughput =
-        result.wall_seconds > 0.0
-            ? static_cast<double>(result.completed) / result.wall_seconds
-            : 0.0;
-    std::fprintf(
-        out,
-        "{\"type\":\"soak-cell\",\"algorithm\":\"%s\",\"k\":%d,\"n\":%d,"
-        "\"shards\":%d,\"target_rate\":%s,\"wall_seconds\":%s,"
-        "\"planned\":%llu,\"completed\":%llu,\"throughput\":%s,"
-        "\"violations\":%llu,\"incomplete\":%llu,\"max_backlog\":%llu,"
-        "\"outcomes\":{\"completed\":%llu,\"timed_out\":%llu,"
-        "\"retried\":%llu,\"shed\":%llu},\"degraded\":%s",
-        algo::info(result.algorithm).name, result.k, result.n, result.shards,
-        fmt_double(result.target_rate).c_str(),
-        fmt_double(result.wall_seconds).c_str(),
-        static_cast<unsigned long long>(result.planned),
-        static_cast<unsigned long long>(result.completed),
-        fmt_double(throughput).c_str(),
-        static_cast<unsigned long long>(result.violations),
-        static_cast<unsigned long long>(result.incomplete),
-        static_cast<unsigned long long>(result.max_backlog),
-        static_cast<unsigned long long>(result.completed),
-        static_cast<unsigned long long>(result.timed_out),
-        static_cast<unsigned long long>(result.retried),
-        static_cast<unsigned long long>(result.shed),
-        result.degraded ? "true" : "false");
-    if (result.interrupted) std::fputs(",\"interrupted\":true", out);
+    json.begin_object().field(
+        "type", "soak-cell", "algorithm", algo::info(result.algorithm).name,
+        "k", result.k, "n", result.n, "shards", result.shards,
+        "target_rate", result.target_rate,
+        "wall_seconds", result.wall_seconds, "planned", result.planned,
+        "completed", result.completed, "throughput", throughput(result),
+        "violations", result.violations, "incomplete", result.incomplete,
+        "max_backlog", result.max_backlog);
+    write_outcomes(json, result);
+    json.field("degraded", result.degraded);
+    if (result.interrupted) json.field("interrupted", true);
     if (spec.faults.active()) {
-      std::fprintf(out,
-                   ",\"faults\":{\"stalls\":%llu,\"no_shows\":%llu,"
-                   "\"delays\":%llu}",
-                   static_cast<unsigned long long>(result.faults.stalls),
-                   static_cast<unsigned long long>(result.faults.no_shows),
-                   static_cast<unsigned long long>(result.faults.delays));
+      json.object("faults")
+          .field("stalls", result.faults.stalls,
+                 "no_shows", result.faults.no_shows,
+                 "delays", result.faults.delays)
+          .end_object();
     }
-    print_latency_block(out, result.latency);
-    print_perf_block(out, result.perf);
-    std::fputs(",\"shard_stats\":[", out);
+    write_observed(json, result);
+    json.array("shard_stats");
     for (std::size_t s = 0; s < result.shard_stats.size(); ++s) {
       const ShardStats& shard = result.shard_stats[s];
-      std::fprintf(out,
-                   "%s{\"shard\":%zu,\"dispatched\":%llu,"
-                   "\"outcomes\":{\"completed\":%llu,\"timed_out\":%llu,"
-                   "\"retried\":%llu,\"shed\":%llu},\"violations\":%llu,"
-                   "\"incomplete\":%llu,\"max_queue\":%llu",
-                   s == 0 ? "" : ",", s,
-                   static_cast<unsigned long long>(shard.dispatched),
-                   static_cast<unsigned long long>(shard.completed),
-                   static_cast<unsigned long long>(shard.timed_out),
-                   static_cast<unsigned long long>(shard.retried),
-                   static_cast<unsigned long long>(shard.shed),
-                   static_cast<unsigned long long>(shard.violations),
-                   static_cast<unsigned long long>(shard.incomplete),
-                   static_cast<unsigned long long>(shard.max_queue));
-      print_latency_block(out, shard.latency);
-      print_perf_block(out, shard.perf);
-      std::fputc('}', out);
+      json.begin_object().field("shard", s, "dispatched", shard.dispatched);
+      write_outcomes(json, shard);
+      json.field("violations", shard.violations,
+                 "incomplete", shard.incomplete, "max_queue", shard.max_queue);
+      write_observed(json, shard);
+      json.end_object();
     }
-    std::fputs("]}\n", out);
+    json.end_array().end_object().raw("\n");
   }
+  std::fputs(json.str().c_str(), out);
 }
 
 }  // namespace rts::campaign

@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <string_view>
 
+#include "support/json.hpp"
+
 namespace rts::fault {
 
 namespace {
@@ -144,13 +146,12 @@ bool write_checkpoint_manifest(const std::string& dir,
     return fail(error, "cannot create checkpoint directory '" + dir +
                            "': " + ec.message());
   }
-  char line[256];
-  std::snprintf(line, sizeof line,
-                "{\"schema\":\"rts-checkpoint-1\",\"campaign\":\"%s\","
-                "\"spec_hash\":\"%016llx\",\"trials\":%d,\"cells\":%d}\n",
-                campaign.c_str(),
-                static_cast<unsigned long long>(spec_hash), trials, cells);
-  return write_file_atomic(dir + "/CHECKPOINT.json", line, error);
+  support::JsonWriter json;
+  json.begin_object().field("schema", "rts-checkpoint-1", "campaign", campaign,
+                            "spec_hash", support::hex64(spec_hash),
+                            "trials", trials, "cells", cells);
+  json.end_object().raw("\n");
+  return write_file_atomic(dir + "/CHECKPOINT.json", json.str(), error);
 }
 
 std::vector<CellCheckpoint> load_checkpoints(const std::string& dir,

@@ -2,7 +2,8 @@
 // integrity, executor correctness (bitwise equal to the serial harness) and
 // scheduling-independence (identical reporter bytes for 1, 2, and 8
 // workers), time-budget truncation, and the rts_bench CLI battery (which
-// invocations exit 2 before running anything).
+// invocations exit 2 before running anything, and how trials cut by the
+// step limit are reported).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -580,6 +581,34 @@ TEST_F(CliBattery, ValidInvocationsStillRun) {
   std::string batched_out;
   EXPECT_EQ(run_rts_bench(batched, &batched_out), 0);
   EXPECT_EQ(batched_out, scalar);
+}
+
+TEST_F(CliBattery, TruncatedTrialsAreReportedNotErrors) {
+  std::vector<std::string> args = {"--algos", "logstar", "--ks",   "64",
+                                   "--trials", "3",      "--quiet"};
+  std::string out;
+  // No trial hits the default limit: the table keeps its historical bytes.
+  EXPECT_EQ(run_rts_bench(args, &out), 0);
+  EXPECT_EQ(out,
+            "\n=== adhoc: random scheduling ===\n"
+            "algorithm  k   n   E[max steps]   p50   p95   p99  p999  max  "
+            "E[mean steps]  E[regs touched]  declared regs  viol  trials  \n"
+            "-----------------------------------------------------------------"
+            "----------------------------------------------------------\n"
+            "logstar    64  64  17.33 +-10.45  12.0  28.0  28   28    28   "
+            "1.70           12.0             416            0     3       \n");
+
+  // Every trial hits a 50-step limit: still exit 0, but the table grows an
+  // `incomplete` column and stderr names the cell, even under --quiet.
+  args.insert(args.end(), {"--step-limit", "50"});
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_rts_bench(args, &out), 0);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(out.find("trials  incomplete  \n"), std::string::npos) << out;
+  EXPECT_NE(out.find(" 3       3           \n"), std::string::npos) << out;
+  EXPECT_EQ(err,
+            "rts_bench: [adhoc] logstar k=64: 3 trials hit the step limit "
+            "(50 steps)\n");
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 //  * per-trial fault dealing: pure function of (plan, seed, k), all-no-show
 //    sparing, worker-0 death immunity,
 //  * TrialSummary checkpoint codec and cell checkpoint files (round-trip,
-//    spec-hash mismatch skip, corruption skip),
+//    spec-hash mismatch skip, corruption skip), names escaped in
+//    CHECKPOINT.json and the corpus manifest,
 //  * campaign checkpoint/resume: byte-identical reporter output across
 //    (uninterrupted) vs (checkpointed) vs (resumed) runs,
 //  * simulated worker death: campaign bytes unchanged, campaign completes,
@@ -24,11 +25,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "algo/registry.hpp"
 #include "campaign/executor.hpp"
+#include "campaign/hunt.hpp"
 #include "campaign/reporter.hpp"
 #include "campaign/soak.hpp"
 #include "campaign/spec.hpp"
@@ -302,6 +305,57 @@ TEST(Checkpoint, CellFileRoundTrips) {
   EXPECT_EQ(loaded[0].summaries[4].max_steps, 104u);
   EXPECT_EQ(loaded[0].summaries[0].retries, 3);
   EXPECT_TRUE(loaded[0].summaries[0].timed_out);
+}
+
+/// True when `text` holds no raw control byte other than its line breaks.
+bool only_printable_between_lines(const std::string& text) {
+  for (const char c : text) {
+    if (c != '\n' && static_cast<unsigned char>(c) < 0x20) return false;
+  }
+  return true;
+}
+
+TEST(Checkpoint, ManifestsEscapeAndKeepLongCampaignNames) {
+  const std::string dir = fresh_temp_dir("escape");
+  const std::string name = "a\"quoted\\name\twith tab";
+  std::string error;
+  ASSERT_TRUE(write_checkpoint_manifest(dir, name, 7, 5, 3, &error)) << error;
+  std::ifstream checkpoint_in(dir + "/CHECKPOINT.json");
+  const std::string checkpoint((std::istreambuf_iterator<char>(checkpoint_in)),
+                               std::istreambuf_iterator<char>());
+  EXPECT_NE(checkpoint.find("\"campaign\":\"a\\\"quoted\\\\name\\u0009with "
+                            "tab\""),
+            std::string::npos)
+      << checkpoint;
+  EXPECT_TRUE(only_printable_between_lines(checkpoint)) << checkpoint;
+
+  campaign::HuntedCell hunted;
+  hunted.campaign = name;
+  hunted.algorithm = "logstar";
+  hunted.adversary = "attack-ge";
+  hunted.predicate = "max-steps>=3";
+  hunted.file = dir + "/x.rtst";
+  campaign::write_corpus_manifest(dir + "/MANIFEST.json", {hunted});
+  std::ifstream corpus_in(dir + "/MANIFEST.json");
+  const std::string corpus((std::istreambuf_iterator<char>(corpus_in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_NE(corpus.find("\"campaign\":\"a\\\"quoted\\\\name\\u0009with tab\""),
+            std::string::npos)
+      << corpus;
+  EXPECT_TRUE(only_printable_between_lines(corpus)) << corpus;
+
+  // A name longer than 256 bytes is written whole.
+  const std::string long_name(300, 'x');
+  ASSERT_TRUE(write_checkpoint_manifest(dir, long_name, 7, 5, 3, &error))
+      << error;
+  std::ifstream long_in(dir + "/CHECKPOINT.json");
+  const std::string long_checkpoint(
+      (std::istreambuf_iterator<char>(long_in)),
+      std::istreambuf_iterator<char>());
+  EXPECT_NE(long_checkpoint.find("\"campaign\":\"" + long_name + "\""),
+            std::string::npos);
+  EXPECT_EQ(long_checkpoint.substr(long_checkpoint.size() - 11),
+            "\"cells\":3}\n");
 }
 
 TEST(Checkpoint, SpecHashMismatchIsSkipped) {

@@ -1,11 +1,16 @@
 // Unit tests for the support layer: integer math, the iterated logarithm,
-// RNG determinism and distributions, the decision tape, statistics, tables.
+// RNG determinism and distributions, the decision tape, statistics, tables,
+// the JSON writer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
+#include <string>
 
+#include "support/json.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -195,6 +200,54 @@ TEST(Table, CsvOutput) {
 TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(static_cast<std::size_t>(42)), "42");
+}
+
+TEST(Json, CommasOnlyBetweenSiblings) {
+  JsonWriter json;
+  json.begin_object().field("a", 1).object("empty").end_object();
+  json.array("list").value(1).value("x").end_array();
+  json.array("none").end_array().object("o").field("b", false).end_object();
+  json.end_object().raw("\n").begin_object().end_object();
+  EXPECT_EQ(json.str(),
+            "{\"a\":1,\"empty\":{},\"list\":[1,\"x\"],\"none\":[],"
+            "\"o\":{\"b\":false}}\n{}");
+}
+
+TEST(Json, ScalarsPrintExactly) {
+  JsonWriter json;
+  json.begin_object()
+      .array("v")
+      .value(std::numeric_limits<std::uint64_t>::max())
+      .value(std::numeric_limits<std::int64_t>::min())
+      .value(static_cast<std::size_t>(7))
+      .value(-3)
+      .value(true)
+      .value(0.1)
+      .value(2.0)
+      .value(1e-5)
+      .end_array()
+      .end_object();
+  EXPECT_EQ(json.str(),
+            "{\"v\":[18446744073709551615,-9223372036854775808,7,-3,true,"
+            "0.1,2,1e-05]}");
+  EXPECT_EQ(fmt_double(22.0 / 3.0), "7.333333333");
+  EXPECT_EQ(hex64(0xc0ffee), "0000000000c0ffee");
+}
+
+TEST(Json, StringsAndKeysAreEscaped) {
+  JsonWriter json;
+  json.begin_object()
+      .field("k\"ey", std::string("a\"b\\c\nd\te\x01"))
+      .end_object();
+  EXPECT_EQ(json.str(), "{\"k\\\"ey\":\"a\\\"b\\\\c\\nd\\u0009e\\u0001\"}");
+}
+
+TEST(Json, RawNeverPlacesAComma) {
+  JsonWriter json;
+  json.raw("{\n  ").key("schema").raw(" ").value("s");
+  json.raw(",\n  ").key("n").raw(" ").value(2);
+  json.raw("\n}\n");
+  EXPECT_EQ(json.str(), "{\n  \"schema\": \"s\",\n  \"n\": 2\n}\n");
 }
 
 }  // namespace
