@@ -939,22 +939,10 @@ std::unique_ptr<sim::BatchAlgorithm> make_machine(AlgorithmId id, int k,
 
 }  // namespace
 
-std::optional<sim::BatchSched> batch_sched(AdversaryId id) {
-  switch (id) {
-    case AdversaryId::kUniformRandom:
-      return sim::BatchSched::kUniformRandom;
-    case AdversaryId::kRoundRobin:
-      return sim::BatchSched::kRoundRobin;
-    case AdversaryId::kSequential:
-      return sim::BatchSched::kSequential;
-    case AdversaryId::kCrashAfterOps:
-      return sim::BatchSched::kCrashAfterOps;
-    case AdversaryId::kAbortAfterOps:   // injects aborts: machines can't see
-    case AdversaryId::kGeNeutralizer:   // adaptive: reads live kernel state
-    case AdversaryId::kReplay:          // needs a recorded trace
-      return std::nullopt;
-  }
-  return std::nullopt;
+bool batch_eligible(AdversaryId id) {
+  const AdversaryInfo& adversary = info(id);
+  return adversary.clazz == sim::AdversaryClass::kOblivious &&
+         !adversary.aborts && !adversary.from_trace;
 }
 
 bool batch_supported(AlgorithmId id) {
@@ -966,8 +954,7 @@ std::unique_ptr<sim::BatchStream> make_batch_stream(
     std::uint64_t seed0, std::uint64_t step_limit) {
   RTS_REQUIRE(lanes >= 1 && lanes <= sim::kMaxBatchLanes,
               "batch lanes out of range");
-  const auto sched = batch_sched(adversary);
-  if (!sched.has_value()) return nullptr;
+  if (!batch_eligible(adversary)) return nullptr;
   auto machine = make_machine(algorithm, k, n);
   if (machine == nullptr) return nullptr;
   sim::BatchConfig config;
@@ -975,7 +962,7 @@ std::unique_ptr<sim::BatchStream> make_batch_stream(
   config.k = k;
   config.seed0 = seed0;
   config.step_limit = step_limit;
-  config.sched = *sched;
+  config.adversary = adversary_factory(adversary);
   return sim::make_batch_stream(std::move(machine), config);
 }
 

@@ -4,17 +4,18 @@
 // fiber-based implementation (same shared-memory op sequence, same per-pid
 // PRNG draw order), so sim::BatchStream can run a cell's trials without
 // fibers and still match the scalar path's TrialSummary byte for byte.
-// Machines hold one trial's state, indexed by pid.
-// Eligibility is two-sided:
+// Machines hold one trial's state, indexed by pid.  The engine schedules
+// with the cell's own catalogued adversary (algo::adversary_factory), so
+// eligibility is two-sided:
 //
 //   * algorithm: a batch machine exists for logstar, sift, cascade,
 //     ratrace-path, combined-logstar, and combined-sift.  The remaining
 //     catalogue entries (original RatRace's backup grid, tournament, aa,
 //     abortable-race) keep the scalar kernel.
-//   * adversary: the schedule must be a pure function of (seed, pid-ordered
-//     runnable set, per-pid step counts) -- random, roundrobin, sequential,
-//     and crash qualify; the adaptive neutralizer, abort injection, and
-//     trace replay do not.
+//   * adversary: the catalogue must class it oblivious (the engine's view
+//     shows no pending ops), and it must neither request aborts (machines
+//     cannot see them) nor need a recorded trace -- today random,
+//     roundrobin, sequential, and crash.
 //
 // make_batch_stream() returns nullptr for any ineligible pair; callers fall
 // back to the scalar path (the campaign executor does exactly that).
@@ -22,17 +23,16 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "algo/registry.hpp"
 #include "sim/batch.hpp"
 
 namespace rts::algo {
 
-/// The batch scheduler replica for a catalogued adversary, or nullopt when
-/// the adversary's decisions cannot be replicated from (seed, runnable,
-/// steps) alone.
-std::optional<sim::BatchSched> batch_sched(AdversaryId id);
+/// Whether the batch engine can schedule with `id`: oblivious, abort-free,
+/// and constructible from a seed (AdversaryInfo's clazz, aborts and
+/// from_trace).
+bool batch_eligible(AdversaryId id);
 
 /// Whether `id` has a batch machine.
 bool batch_supported(AlgorithmId id);

@@ -18,17 +18,12 @@
 #include "sim/adversaries.hpp"
 #include "sim/trace.hpp"
 #include "support/assert.hpp"
-#include "support/rng.hpp"
 
 namespace rts::campaign {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Seed-stream salt for hw retry attempts (mirrors the soak driver's):
-/// attempt a > 0 of a trial runs on derive_seed(trial_seed, kRetrySalt + a).
-constexpr std::uint64_t kRetrySalt = 0xfa01'7e72;
 
 /// A worker's contiguous slice of the flattened trial index space.
 struct Slice {
@@ -291,39 +286,15 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         hw::HwRunOptions run_options;
         run_options.step_limit = cell.step_limit;
         run_options.deadline_ns = options.hw_deadline_ns;
-        // Deadline + retry service: a timed-out election is cancelled by
-        // the pool watchdog and retried on a salted seed (fresh fault
-        // coins each attempt) under capped, jittered backoff.  The final
-        // attempt's summary is kept either way -- a still-timed-out trial
-        // is reported as such, never as a fabricated completion.
-        const std::uint64_t trial_seed = sim::trial_seed(cell.seed0, trial);
-        const bool chaos = options.fault_plan.active();
-        hw::HwRunResult run;
-        int attempt = 0;
-        for (;; ++attempt) {
-          const std::uint64_t attempt_seed =
-              attempt == 0
-                  ? trial_seed
-                  : support::derive_seed(
-                        trial_seed,
-                        kRetrySalt + static_cast<std::uint64_t>(attempt));
-          fault::TrialFaults trial_faults;
-          if (chaos) {
-            trial_faults = options.fault_plan.for_trial(attempt_seed, cell.k);
-            run_options.faults = &trial_faults;
-          }
-          run = hw_pool.pool->run(cell.algorithm, cell.n, attempt_seed,
-                                  run_options);
-          run_options.faults = nullptr;
-          if (!run.timed_out || attempt >= options.hw_max_retries) break;
-          const std::uint64_t pause_us =
-              options.backoff.delay_us(attempt + 1, trial_seed);
-          if (pause_us > 0) {
-            std::this_thread::sleep_for(std::chrono::microseconds(pause_us));
-          }
-        }
-        exec::TrialSummary summary = hw::summarize_trial(run);
-        summary.retries = attempt;
+        // Deadline + retry service (hw::run_with_retries): a timed-out
+        // election is cancelled by the pool watchdog and retried on a
+        // salted seed; the final attempt's summary is kept either way.
+        const hw::HwRetriedRun served = hw::run_with_retries(
+            *hw_pool.pool, cell.algorithm, cell.n,
+            sim::trial_seed(cell.seed0, trial), run_options,
+            options.fault_plan, options.hw_max_retries, options.backoff);
+        exec::TrialSummary summary = hw::summarize_trial(served.run);
+        summary.retries = served.attempts - 1;
         return summary;
       });
       continue;
@@ -392,15 +363,16 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     // Batched fast path: eligible cells run each trial through the
     // worker's pooled batch stream (fiber-free state machines) instead of
     // the scalar kernel.  Eligibility is two-sided (batch machine +
-    // pure-function-of-seed adversary; see algo/batch.hpp) and requires the
-    // RMR-free memory path; record/replay runs were dispatched above.
+    // oblivious, abort-free catalogue adversary; see algo/batch.hpp) and
+    // requires the RMR-free memory path; record/replay runs were dispatched
+    // above.
     // Batched summaries are bitwise-identical to the scalar path's, so this
     // branch can never change campaign bytes, and because the stream runs
     // exactly the requested trial, trial-granularity stealing never
     // duplicates work.
     if (options.sim_batch_lanes > 0 && cell.rmr == rmr::RmrModel::kNone &&
         algo::batch_supported(cell.algorithm) &&
-        algo::batch_sched(cell.adversary).has_value()) {
+        algo::batch_eligible(cell.adversary)) {
       const int lanes = std::clamp(options.sim_batch_lanes, 1,
                                    sim::kMaxBatchLanes);
       runners.push_back([cell, lanes](exec::TrialWorkspace& workspace,

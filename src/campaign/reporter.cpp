@@ -349,7 +349,7 @@ void report_csv(const CampaignResult& result, std::FILE* out,
                errors ? ",first_error" : "");
   for (const CellResult& cell : result.cells) {
     const support::Summary max_steps = support::summarize(cell.agg.max_steps);
-    std::fprintf(out, "%s,", result.spec.name.c_str());
+    std::fprintf(out, "%s,", csv_field(result.spec.name).c_str());
     if (extended) {
       std::fprintf(out, "%s,", exec::to_string(cell.cell.backend));
     }

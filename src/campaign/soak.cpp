@@ -22,11 +22,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Seed-stream salt for retry attempts: attempt a > 0 of arrival i runs on
-/// derive_seed(arrival_seed, kRetrySalt + a), so retries draw fresh fault
-/// coins without perturbing any other arrival's stream.
-constexpr std::uint64_t kRetrySalt = 0xfa01'7e72;
-
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
@@ -284,44 +279,18 @@ class SoakShard {
   /// stay charged (coordinated omission honest), and a timed-out arrival
   /// contributes a count, never a fabricated sample.
   void serve_one(const Arrival& arrival) {
-    const bool chaos = spec_.faults.active();
     hw::HwRunOptions run_options;
     run_options.step_limit = spec_.step_limit;
     run_options.deadline_ns = spec_.deadline_ns;
-    const std::uint64_t arrival_seed =
-        support::derive_seed(spec_.seed, arrival.index);
-    hw::HwRunResult run;
-    std::uint64_t retried = 0;
-    std::uint64_t violations = 0;
-    fault::FaultCounters dealt;
-    for (int attempt = 0;; ++attempt) {
-      const std::uint64_t attempt_seed =
-          attempt == 0 ? arrival_seed
-                       : support::derive_seed(
-                             arrival_seed,
-                             kRetrySalt + static_cast<std::uint64_t>(attempt));
-      fault::TrialFaults trial_faults;
-      if (chaos) {
-        trial_faults = spec_.faults.for_trial(attempt_seed, spec_.k);
-        run_options.faults = &trial_faults;
-      }
-      run = pool_->run(algorithm_, n_, attempt_seed, run_options);
-      run_options.faults = nullptr;  // trial_faults dies with this iteration
-      dealt.add(trial_faults);
-      if (!run.violations.empty()) ++violations;
-      if (!run.timed_out || attempt >= spec_.max_retries) break;
-      ++retried;
-      const std::uint64_t pause_us =
-          spec_.backoff.delay_us(attempt + 1, arrival_seed);
-      if (pause_us > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(pause_us));
-      }
-    }
+    const hw::HwRetriedRun served = hw::run_with_retries(
+        *pool_, algorithm_, n_, support::derive_seed(spec_.seed, arrival.index),
+        run_options, spec_.faults, spec_.max_retries, spec_.backoff);
+    const hw::HwRunResult& run = served.run;
     const Clock::time_point end = Clock::now();
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.retried += retried;
-    stats_.violations += violations;
-    stats_.faults.add(dealt);
+    stats_.retried += static_cast<std::uint64_t>(served.attempts - 1);
+    stats_.violations += static_cast<std::uint64_t>(served.violating_attempts);
+    stats_.faults.add(served.dealt);
     if (run.timed_out) {
       ++stats_.timed_out;
     } else {

@@ -208,10 +208,8 @@ TrialSummary TrialWorkspace::run_le_batch_trial(
     slot = batch_slots_.back().get();
   }
   slot->last_used = ++clock_;
-  TrialSummary summary;
-  slot->stream->run_block(trial, 1, &summary);
   ++batch_trials_run_;
-  return summary;
+  return slot->stream->run_trial(trial);
 }
 
 }  // namespace rts::exec

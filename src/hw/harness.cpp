@@ -91,14 +91,14 @@ std::unique_ptr<algo::ILeaderElect<HwPlatform>> make_hw_le(
 
 namespace {
 
-/// One participant's election, shared by the fresh harness and the pooled
-/// runner.  A StepLimitReached abort leaves the outcome kUnknown and is
-/// reported through the return value (true = aborted on the budget); an
-/// ElectionCancelled unwind (the deadline watchdog) likewise leaves the
-/// outcome kUnknown and sets *cancelled.  `fault` deals this participant
-/// its chaos-plan faults (null = none): a no-show returns without electing,
-/// a delay sleeps before the first shared op, a stall arms the context's
-/// one-shot mid-election sleep.
+/// One participant's election in an HwTrialPool.  A StepLimitReached abort
+/// leaves the outcome kUnknown and is reported through the return value
+/// (true = aborted on the budget); an ElectionCancelled unwind (the
+/// deadline watchdog) likewise leaves the outcome kUnknown and sets
+/// *cancelled.  `fault` deals this participant its chaos-plan faults
+/// (null = none): a no-show returns without electing, a delay sleeps before
+/// the first shared op, a stall arms the context's one-shot mid-election
+/// sleep.
 bool run_participant(algo::ILeaderElect<HwPlatform>* le,
                      std::atomic<std::uint64_t>& native_bit, int pid,
                      std::uint64_t seed, std::uint64_t step_limit,
@@ -138,12 +138,12 @@ bool run_participant(algo::ILeaderElect<HwPlatform>* le,
   return aborted;
 }
 
-/// Post-run accounting shared by the fresh harness and the pooled runner:
-/// winner count, the safety check, and the completeness verdict.  An
-/// incomplete (watchdog-aborted or deadline-cancelled) run legitimately has
-/// no winner; only a complete run without exactly one is a violation,
-/// mirroring the sim harness's liveness rule.  Safety still holds
-/// unconditionally: two winners violate even on a cancelled run.
+/// Post-run accounting of one pooled election: winner count, the safety
+/// check, and the completeness verdict.  An incomplete (watchdog-aborted or
+/// deadline-cancelled) run legitimately has no winner; only a complete run
+/// without exactly one is a violation, mirroring the sim harness's liveness
+/// rule.  Safety still holds unconditionally: two winners violate even on a
+/// cancelled run.
 void finalize_hw_result(HwRunResult& result, std::size_t registers,
                         double wall_seconds, bool aborted, bool timed_out) {
   result.wall_seconds = wall_seconds;
@@ -185,76 +185,10 @@ void count_faults(HwRunResult& result, const fault::TrialFaults* faults) {
 HwRunResult run_hw_le(algo::AlgorithmId id, int n, int k, std::uint64_t seed,
                       HwRunOptions options) {
   RTS_REQUIRE(k >= 1 && k <= n, "need 1 <= k <= n threads");
-  HwRunResult result;
-  result.n = n;
-  result.k = k;
-  result.outcomes.assign(static_cast<std::size_t>(k), sim::Outcome::kUnknown);
-  result.ops.assign(static_cast<std::size_t>(k), 0);
-
-  RegisterPool pool;
-  HwPlatform::Arena arena(pool);
-  std::unique_ptr<algo::ILeaderElect<HwPlatform>> le =
-      make_hw_le(id, arena, n);
-  result.declared_registers = le != nullptr ? le->declared_registers() : 1;
-  std::atomic<std::uint64_t> native_bit{0};
-  std::atomic<int> aborted{0};
-  std::atomic<int> cancelled{0};
-  std::atomic<bool> cancel{false};
-
-  // Scoped deadline watchdog: arms the cancel flag unless the completion
-  // barrier is crossed first (the pool keeps a persistent one instead).
-  std::mutex watchdog_mu;
-  std::condition_variable watchdog_cv;
-  bool finished = false;
-  std::jthread watchdog;
-  if (options.deadline_ns > 0) {
-    watchdog = std::jthread([&] {
-      std::unique_lock<std::mutex> lock(watchdog_mu);
-      if (!watchdog_cv.wait_for(lock,
-                                std::chrono::nanoseconds(options.deadline_ns),
-                                [&] { return finished; })) {
-        cancel.store(true, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  std::barrier gate(k + 1);
-  std::vector<std::jthread> threads;
-  threads.reserve(static_cast<std::size_t>(k));
-  for (int pid = 0; pid < k; ++pid) {
-    threads.emplace_back([&, pid] {
-      gate.arrive_and_wait();
-      bool was_cancelled = false;
-      if (run_participant(le.get(), native_bit, pid, seed, options.step_limit,
-                          options.deadline_ns > 0 ? &cancel : nullptr,
-                          fault_for(options.faults, pid),
-                          &result.outcomes[static_cast<std::size_t>(pid)],
-                          &result.ops[static_cast<std::size_t>(pid)],
-                          &was_cancelled)) {
-        aborted.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (was_cancelled) cancelled.fetch_add(1, std::memory_order_relaxed);
-      gate.arrive_and_wait();
-    });
-  }
-
-  gate.arrive_and_wait();  // release the threads
-  const auto start = std::chrono::steady_clock::now();
-  gate.arrive_and_wait();  // wait for completion
-  const auto end = std::chrono::steady_clock::now();
-  {
-    std::lock_guard<std::mutex> lock(watchdog_mu);
-    finished = true;
-  }
-  watchdog_cv.notify_all();
-  threads.clear();  // join
-
-  count_faults(result, options.faults);
-  finalize_hw_result(result, pool.allocated(),
-                     std::chrono::duration<double>(end - start).count(),
-                     aborted.load(std::memory_order_relaxed) > 0,
-                     cancelled.load(std::memory_order_relaxed) > 0);
-  return result;
+  HwPoolOptions pool_options;
+  pool_options.perf_counters = false;
+  HwTrialPool pool(k, pool_options);
+  return pool.run(id, n, seed, options);
 }
 
 exec::TrialSummary summarize_trial(const HwRunResult& result) {
@@ -488,6 +422,35 @@ HwRunResult HwTrialPool::run(algo::AlgorithmId id, int n, std::uint64_t seed,
 HwRunResult HwTrialPool::run_trial(algo::AlgorithmId id, int n, int trial,
                                    std::uint64_t seed0, HwRunOptions options) {
   return run(id, n, sim::trial_seed(seed0, trial), options);
+}
+
+HwRetriedRun run_with_retries(HwTrialPool& pool, algo::AlgorithmId id, int n,
+                              std::uint64_t seed, HwRunOptions options,
+                              const fault::FaultPlan& faults, int max_retries,
+                              const fault::BackoffPolicy& backoff) {
+  HwRetriedRun out;
+  for (;;) {
+    const int attempt = out.attempts++;
+    const std::uint64_t attempt_seed =
+        attempt == 0
+            ? seed
+            : support::derive_seed(
+                  seed, kRetrySalt + static_cast<std::uint64_t>(attempt));
+    fault::TrialFaults trial_faults;
+    if (faults.active()) {
+      trial_faults = faults.for_trial(attempt_seed, pool.capacity());
+      options.faults = &trial_faults;
+    }
+    out.run = pool.run(id, n, attempt_seed, options);
+    options.faults = nullptr;  // trial_faults dies with this iteration
+    out.dealt.add(trial_faults);
+    if (!out.run.violations.empty()) ++out.violating_attempts;
+    if (!out.run.timed_out || attempt >= max_retries) return out;
+    const std::uint64_t pause_us = backoff.delay_us(attempt + 1, seed);
+    if (pause_us > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(pause_us));
+    }
+  }
 }
 
 exec::Aggregate run_hw_many(algo::AlgorithmId id, int k, int trials,

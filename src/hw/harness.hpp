@@ -22,6 +22,7 @@
 #include "algo/platform.hpp"
 #include "algo/registry.hpp"
 #include "exec/backend.hpp"
+#include "fault/backoff.hpp"
 #include "fault/plan.hpp"
 #include "hw/platform.hpp"
 #include "sim/types.hpp"
@@ -29,18 +30,13 @@
 
 namespace rts::hw {
 
-/// Deprecated alias: the hardware harness used to carry its own algorithm
-/// enum; the catalogue is unified in algo::AlgorithmId (every historical
-/// HwAlgorithmId enumerator, including kNativeAtomic, exists there).
-using HwAlgorithmId = algo::AlgorithmId;
-
 /// Constructs the algorithm for up to n processes on the hardware platform.
 /// Returns nullptr for kNativeAtomic (handled specially by the harness).
 /// Requires algo::supports(id, exec::Backend::kHw).
 std::unique_ptr<algo::ILeaderElect<HwPlatform>> make_hw_le(
     algo::AlgorithmId id, HwPlatform::Arena arena, int n);
 
-/// Per-run knobs shared by the fresh harness and the pooled runner.
+/// Per-run knobs of one election (run_hw_le, HwTrialPool::run).
 struct HwRunOptions {
   /// Shared-op budget per participant context (the step-limit watchdog; see
   /// hw::StepLimitReached).  Participants exceeding it abort; the trial
@@ -80,7 +76,7 @@ struct HwRunResult {
 /// Runs one election: builds the object for `n` threads and releases `k`
 /// participants (1 <= k <= n), mirroring sim::run_le_once.  Each thread
 /// calls elect() exactly once; the harness checks the exactly-one-winner
-/// invariant.
+/// invariant.  A one-shot HwTrialPool without perf counters.
 HwRunResult run_hw_le(algo::AlgorithmId id, int n, int k, std::uint64_t seed,
                       HwRunOptions options = {});
 
@@ -198,6 +194,29 @@ class HwTrialPool {
   std::vector<std::jthread> threads_;
   std::jthread watchdog_;  ///< last member: joins before the state above dies
 };
+
+/// One election under the deadline-retry policy shared by campaign hw cells
+/// and the soak service.  Attempt 0 runs on `seed`, attempt a > 0 on
+/// derive_seed(seed, kRetrySalt + a), so a retry deals fresh fault coins
+/// from `faults` (when active) without perturbing any other seed's stream.
+/// A timed-out attempt is retried, up to `max_retries` times, after
+/// backoff.delay_us(a, seed).  The final attempt is kept either way: a
+/// still-timed-out election is reported as such, never as a fabricated
+/// completion.
+struct HwRetriedRun {
+  HwRunResult run;             ///< the final attempt
+  int attempts = 0;            ///< elections run, at least one
+  int violating_attempts = 0;  ///< attempts with a non-empty violations list
+  fault::FaultCounters dealt;  ///< faults dealt over every attempt
+};
+
+/// Seed-stream salt of retry attempts (see run_with_retries).
+inline constexpr std::uint64_t kRetrySalt = 0xfa01'7e72;
+
+HwRetriedRun run_with_retries(HwTrialPool& pool, algo::AlgorithmId id, int n,
+                              std::uint64_t seed, HwRunOptions options,
+                              const fault::FaultPlan& faults, int max_retries,
+                              const fault::BackoffPolicy& backoff);
 
 /// Runs `trials` elections (n = k) through one persistent HwTrialPool and
 /// the shared trial-order fold.

@@ -23,7 +23,18 @@ const char* to_string(AdversaryClass clazz) {
 KernelView::KernelView(const Kernel& kernel, AdversaryClass clazz)
     : kernel_(&kernel),
       clazz_(clazz),
-      runnable_(&kernel.runnable_pids_cached()) {}
+      runnable_(&kernel.runnable_pids_cached()),
+      steps_(&kernel.steps_),
+      total_steps_(&kernel.total_steps_) {}
+
+KernelView::KernelView(const std::vector<int>& runnable,
+                       const std::vector<std::uint64_t>& steps,
+                       const std::uint64_t& total_steps)
+    : kernel_(nullptr),
+      clazz_(AdversaryClass::kOblivious),
+      runnable_(&runnable),
+      steps_(&steps),
+      total_steps_(&total_steps) {}
 
 bool KernelView::is_runnable(int pid) const {
   return std::binary_search(runnable_->begin(), runnable_->end(), pid);
@@ -31,21 +42,21 @@ bool KernelView::is_runnable(int pid) const {
 
 PendingOpView KernelView::pending(int pid) const {
   RTS_ASSERT(is_runnable(pid));
-  const PendingOp& op = kernel_->pending(pid);
   PendingOpView view;
   view.pid = pid;
-
+  // An oblivious adversary sees no pending information at all.
+  if (clazz_ == AdversaryClass::kOblivious) return view;
+  RTS_ASSERT(kernel_ != nullptr);
+  const PendingOp& op = kernel_->pending(pid);
   const bool hide_kind = clazz_ == AdversaryClass::kRWOblivious &&
                          op.tags.random_kind;
-  const bool hide_reg =
-      (clazz_ == AdversaryClass::kLocationOblivious && op.tags.random_location) ||
-      clazz_ == AdversaryClass::kOblivious;
-  // An oblivious adversary sees no pending information at all.
-  if (clazz_ != AdversaryClass::kOblivious && !hide_kind) {
+  const bool hide_reg = clazz_ == AdversaryClass::kLocationOblivious &&
+                        op.tags.random_location;
+  if (!hide_kind) {
     view.kind = op.kind;
     if (op.kind == OpKind::kWrite) view.value = op.value;
   }
-  if (clazz_ != AdversaryClass::kOblivious && !hide_reg) view.reg = op.reg;
+  if (!hide_reg) view.reg = op.reg;
   return view;
 }
 

@@ -47,33 +47,49 @@ struct PendingOpView {
   std::optional<std::uint64_t> value;  // write argument, when kind is visible
 };
 
-/// Class-filtered window onto the kernel, handed to Adversary::next().
+/// Class-filtered window onto a running trial, handed to Adversary::next().
+/// It reads the runnable set, the per-pid step counts and the step total
+/// from whatever the engine keeps, so the same adversaries schedule both
+/// the fiber kernel (sim/kernel.hpp) and the batch engine (sim/batch.hpp).
+/// Only pending ops need a Kernel: a kernel-less view has none to show, so
+/// it is oblivious by construction.
 class KernelView {
  public:
   KernelView(const Kernel& kernel, AdversaryClass clazz);
+  /// Kernel-less, oblivious view over an engine's own state: `steps` holds
+  /// one count per process, indexed by pid.  Every argument must outlive
+  /// the view.
+  KernelView(const std::vector<int>& runnable,
+             const std::vector<std::uint64_t>& steps,
+             const std::uint64_t& total_steps);
 
   AdversaryClass clazz() const { return clazz_; }
-  int num_processes() const { return kernel_->num_processes(); }
-  std::uint64_t total_steps() const { return kernel_->total_steps(); }
-  std::uint64_t steps(int pid) const { return kernel_->steps(pid); }
+  int num_processes() const { return static_cast<int>(steps_->size()); }
+  std::uint64_t total_steps() const { return *total_steps_; }
+  std::uint64_t steps(int pid) const {
+    return (*steps_)[static_cast<std::size_t>(pid)];
+  }
 
   /// Pids with a pending operation, in pid order.  Every adversary class may
   /// use this: the standard convention for oblivious schedules is that steps
-  /// of finished processes are skipped.  Backed by the kernel's cached
-  /// runnable set, so constructing a view per step allocates nothing.
+  /// of finished processes are skipped.  Backed by the engine's own runnable
+  /// set, so a view allocates nothing.
   const std::vector<int>& runnable() const { return *runnable_; }
   bool is_runnable(int pid) const;
 
   /// The class-filtered view of pid's pending op.  Precondition: runnable.
+  /// An oblivious view shows only the pid and never touches a kernel.
   PendingOpView pending(int pid) const;
 
   /// Full kernel access; permitted for the adaptive adversary only.
   const Kernel& adaptive_full_access() const;
 
  private:
-  const Kernel* kernel_;
+  const Kernel* kernel_;  // null for a kernel-less view
   AdversaryClass clazz_;
   const std::vector<int>* runnable_;
+  const std::vector<std::uint64_t>* steps_;
+  const std::uint64_t* total_steps_;
 };
 
 /// One scheduling decision.  kAbort flags a pid's abort request (an

@@ -12,22 +12,19 @@ namespace rts::sim {
 
 namespace {
 
-/// Replica of one scheduler's per-trial state; which fields are live
-/// depends on BatchConfig::sched.
-struct SchedState {
-  support::PrngSource rng{0};         // random / crash schedule stream
-  support::PrngSource budget_rng{0};  // crash budgets (~seed stream)
-  std::vector<std::uint64_t> budgets;  // drawn lazily, in pid order
-  int rr_next = 0;                     // round-robin cursor
-};
-
 class BatchEngine final : public BatchStream {
  public:
   BatchEngine(std::unique_ptr<BatchAlgorithm> algorithm, BatchConfig config)
-      : cfg_(config), algo_(std::move(algorithm)) {
+      : cfg_(std::move(config)), algo_(std::move(algorithm)) {
     RTS_REQUIRE(algo_ != nullptr, "batch engine requires a machine");
     RTS_REQUIRE(cfg_.k >= 1 && cfg_.k <= cfg_.n,
                 "need 1 <= k <= n participants");
+    RTS_REQUIRE(cfg_.adversary != nullptr,
+                "batch engine requires an adversary");
+    adversary_ = cfg_.adversary(0);
+    RTS_REQUIRE(adversary_->clazz() == AdversaryClass::kOblivious,
+                "the batch engine shows its adversary no pending ops, so it "
+                "runs oblivious adversaries only");
     k_ = cfg_.k;
     const std::size_t num_regs = algo_->num_registers();
     const auto k = static_cast<std::size_t>(k_);
@@ -45,21 +42,30 @@ class BatchEngine final : public BatchStream {
     return algo_->declared_registers();
   }
 
-  void run_block(int first_trial, int count,
-                 exec::TrialSummary* out) override {
-    RTS_REQUIRE(count >= 0, "negative trial count");
-    for (int i = 0; i < count; ++i) {
-      seed_trial(first_trial + i);
-      bool completed = true;
-      while (!runnable_.empty()) {
-        if (total_ >= cfg_.step_limit) {
-          completed = false;  // starved, not done
-          break;
-        }
-        step();
+  exec::TrialSummary run_trial(int trial) override {
+    seed_trial(trial);
+    // Kernel::run's loop over the engine's own state.
+    const KernelView view(runnable_.pids(), steps_, total_);
+    bool completed = true;
+    while (!runnable_.empty()) {
+      if (total_ >= cfg_.step_limit) {
+        completed = false;  // starved, not done
+        break;
       }
-      summarize(completed, &out[i]);
+      const Action action = adversary_->next(view);
+      switch (action.kind) {
+        case Action::Kind::kStep:
+          grant(action.pid);
+          break;
+        case Action::Kind::kCrash:
+          crash(action.pid);
+          break;
+        case Action::Kind::kAbort:
+          RTS_ASSERT_MSG(false, "batch machines cannot take abort requests");
+          break;
+      }
     }
+    return summarize(completed);
   }
 
  private:
@@ -81,21 +87,7 @@ class BatchEngine final : public BatchStream {
   void seed_trial(int trial) {
     const std::uint64_t ts = trial_seed(cfg_.seed0, trial);
     const std::uint64_t as = adversary_seed(ts);
-    switch (cfg_.sched) {
-      case BatchSched::kUniformRandom:
-        sched_.rng.reseed(as);
-        break;
-      case BatchSched::kRoundRobin:
-        sched_.rr_next = 0;
-        break;
-      case BatchSched::kSequential:
-        break;
-      case BatchSched::kCrashAfterOps:
-        sched_.rng.reseed(as);
-        sched_.budget_rng.reseed(~as);
-        sched_.budgets.clear();
-        break;
-    }
+    if (!adversary_->reseed(as)) adversary_ = cfg_.adversary(as);
     reset_bank();
     runnable_.reset(k_);
     total_ = 0;
@@ -118,18 +110,6 @@ class BatchEngine final : public BatchStream {
     }
   }
 
-  std::uint64_t crash_budget(int pid) {
-    // Mirrors CrashAfterOpsAdversary::budget: budgets are drawn lazily in
-    // pid order from the dedicated ~seed stream.
-    while (sched_.budgets.size() <= static_cast<std::size_t>(pid)) {
-      sched_.budgets.push_back(
-          cfg_.crash_min_ops +
-          sched_.budget_rng.draw(cfg_.crash_max_ops - cfg_.crash_min_ops +
-                                 1));
-    }
-    return sched_.budgets[static_cast<std::size_t>(pid)];
-  }
-
   /// A pid's machine returned its outcome: it leaves the runnable set.
   /// Machines finish with a win or a loss, never kUnknown, so "outcome
   /// unknown and not crashed" is exactly "runnable".
@@ -144,45 +124,18 @@ class BatchEngine final : public BatchStream {
     return outcomes_[idx] == Outcome::kUnknown && crashed_[idx] == 0;
   }
 
-  /// One adversary decision and its grant or crash -- the body of
-  /// Kernel::run's loop after its empty-runnable and step-limit checks.
-  void step() {
-    int pid = -1;
-    bool crash = false;
-    switch (cfg_.sched) {
-      case BatchSched::kUniformRandom:
-        pid = runnable_[sched_.rng.draw(runnable_.size())];
-        break;
-      case BatchSched::kRoundRobin:
-        for (int attempts = 0; attempts < k_; ++attempts) {
-          const int candidate = sched_.rr_next;
-          sched_.rr_next = (sched_.rr_next + 1) % k_;
-          if (runnable(candidate)) {
-            pid = candidate;
-            break;
-          }
-        }
-        if (pid < 0) pid = runnable_.front();
-        break;
-      case BatchSched::kSequential:
-        pid = runnable_.front();
-        break;
-      case BatchSched::kCrashAfterOps:
-        pid = runnable_[sched_.rng.draw(runnable_.size())];
-        if (runnable_.size() > 1 &&
-            steps_[static_cast<std::size_t>(pid)] >= crash_budget(pid)) {
-          crash = true;
-        }
-        break;
-    }
+  /// Kernel::crash: the pid never takes another step.
+  void crash(int pid) {
+    RTS_ASSERT_MSG(runnable(pid), "crash of a finished or crashed pid");
+    crashed_[static_cast<std::size_t>(pid)] = 1;
+    runnable_.erase(pid);
+  }
+
+  /// Kernel::grant: executes pid's pending op against the bank, then
+  /// advances its machine to the next announcement or completion.
+  void grant(int pid) {
+    RTS_ASSERT_MSG(runnable(pid), "grant to non-runnable pid");
     const auto idx = static_cast<std::size_t>(pid);
-    if (crash) {
-      crashed_[idx] = 1;
-      runnable_.erase(pid);
-      return;
-    }
-    // Grant: execute the pending op against the bank, then advance the
-    // machine to its next announcement or completion.
     const BatchAction& op = pending_[idx];
     if (touched_[op.reg] == 0) {
       touched_[op.reg] = 1;
@@ -208,7 +161,7 @@ class BatchEngine final : public BatchStream {
   /// TrialSummary -- the same field derivations as sim::summarize_le_trial,
   /// with the batch-ineligible branches (aborts, RMR models) statically
   /// absent.
-  void summarize(bool completed, exec::TrialSummary* out) const {
+  exec::TrialSummary summarize(bool completed) const {
     exec::TrialSummary summary;
     summary.backend = exec::Backend::kSim;
     summary.k = k_;
@@ -238,14 +191,12 @@ class BatchEngine final : public BatchStream {
     summary.crash_free = crash_free;
     summary.completed = completed;
     summary.latency = max_steps;
-    if (winners > 1) {
-      summary.first_violation =
-          "safety: more than one winner (" + std::to_string(winners) + ")";
-    } else if (summary.completed && crash_free && winners != 1) {
-      summary.first_violation =
-          "liveness: crash-free complete run without exactly one winner";
+    std::vector<std::string> violations = election_violations(
+        winners, completed, crash_free, /*abort_requests=*/0);
+    if (!violations.empty()) {
+      summary.first_violation = std::move(violations.front());
     }
-    *out = std::move(summary);
+    return summary;
   }
 
   BatchConfig cfg_;
@@ -265,7 +216,7 @@ class BatchEngine final : public BatchStream {
   std::vector<BatchAction> pending_;
 
   RunnableVector runnable_;
-  SchedState sched_;
+  std::unique_ptr<Adversary> adversary_;
   std::uint64_t total_ = 0;
 };
 

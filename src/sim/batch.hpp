@@ -14,45 +14,38 @@
 // descent on every step instead, so the vector wins wherever a trial takes
 // many steps per pid (ratrace-path, the combiners) and gives a little back
 // where it takes few (logstar).  The engine holds exactly one trial's
-// state -- one bank, one runnable set, one scheduler replica, per-pid
-// arrays of size k -- so its working set is that of a single trial and any
-// trial can be computed on its own, in any order.
+// state -- one bank, one runnable set, one adversary, per-pid arrays of
+// size k -- so its working set is that of a single trial and any trial can
+// be computed on its own, in any order.
+//
+// Scheduling is not reimplemented here: the engine drives one catalogued
+// sim::Adversary through a kernel-less KernelView over its own runnable set
+// and step counters, reseeding it per trial and asking it for every step
+// exactly as Kernel::run does.  Such a view shows no pending op, so only
+// oblivious schedulers that step and crash can run here; the catalogue
+// decides which those are (algo/batch.hpp).
 //
 // Determinism contract (enforced by tests/test_batch_invariance.cpp and the
 // CI batch-invariance job): for every *eligible* cell the engine reproduces
 // the scalar path's exec::TrialSummary byte for byte, trial for trial --
 // the same discipline that keeps fresh and pooled kernels interchangeable.
-// Eligibility is decided by the algo catalogue (algo/batch.hpp): the
-// algorithm must have a batch machine, and the adversary's schedule must be
-// a pure function of (seed, observable runnable/steps state) -- uniform
-// random, round-robin, sequential, and crash-after-ops qualify; adaptive,
-// replay, and abort-injecting schedulers fall back to the scalar kernel.
-// The engine replicates each eligible scheduler's decision procedure
-// exactly (same PRNG streams, same pid-ordered runnable view, same lazy
-// budget draws), and each machine replicates its algorithm's shared-memory
-// op sequence and per-pid draw order exactly.  Trials are seeded by the
-// same sim::trial_seed / sim::adversary_seed / derive_seed(seed, pid)
-// chains as the scalar paths, so the engine can never change a result.
+// The adversary sees the same pid-ordered runnable set and step counts as
+// under the kernel, and each machine replicates its algorithm's
+// shared-memory op sequence and per-pid draw order exactly.  Trials are
+// seeded by the same sim::trial_seed / sim::adversary_seed /
+// derive_seed(seed, pid) chains as the scalar paths, so the engine can
+// never change a result.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
 #include "exec/backend.hpp"
+#include "sim/runner.hpp"
 #include "sim/types.hpp"
 #include "support/rng.hpp"
 
 namespace rts::sim {
-
-/// Scheduler replicas the engine can drive.  Each mirrors one catalogued
-/// adversary whose decisions depend only on its seed and the pid-ordered
-/// runnable set (plus per-pid step counts for the crash model).
-enum class BatchSched : std::uint8_t {
-  kUniformRandom,  // UniformRandomAdversary: runnable[rng.draw(count)]
-  kRoundRobin,     // RoundRobinAdversary: cursor scan over pids
-  kSequential,     // SequentialAdversary: lowest runnable pid
-  kCrashAfterOps,  // CrashAfterOpsAdversary: random + seeded op budgets
-};
 
 /// One shared-memory request from a batch machine, or its final outcome.
 struct BatchAction {
@@ -114,21 +107,20 @@ struct BatchConfig {
   int k = 0;      ///< participants per trial (pids 0..k-1)
   std::uint64_t seed0 = 0;       ///< cell's base seed (sim::trial_seed chain)
   std::uint64_t step_limit = 0;  ///< Kernel::Options::step_limit equivalent
-  BatchSched sched = BatchSched::kUniformRandom;
-  /// CrashAfterOps budget bounds; defaults match adversary_factory's.
-  std::uint64_t crash_min_ops = 4;
-  std::uint64_t crash_max_ops = 24;
+  /// The cell's scheduler.  It must be oblivious and may only step and
+  /// crash; the engine reseeds one instance per trial with
+  /// adversary_seed(trial_seed) and rebuilds it when reseed() refuses.
+  AdversaryFactory adversary;
 };
 
 /// A pooled batched trial stream: built once per cell, reseeded per trial.
-/// run_block computes trials [first_trial, first_trial + count) of the
-/// cell's seed stream, one after another, and writes one scalar-identical
-/// summary per trial.  Each trial is a pure function of its index.
+/// run_trial computes trial `trial` of the cell's seed stream and returns
+/// its scalar-identical summary.  Each trial is a pure function of its
+/// index.
 class BatchStream {
  public:
   virtual ~BatchStream() = default;
-  virtual void run_block(int first_trial, int count,
-                         exec::TrialSummary* out) = 0;
+  virtual exec::TrialSummary run_trial(int trial) = 0;
   virtual std::size_t declared_registers() const = 0;
 };
 

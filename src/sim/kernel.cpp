@@ -1,5 +1,7 @@
 #include "sim/kernel.hpp"
 
+#include <algorithm>
+
 #include "sim/adversary.hpp"
 #include "support/assert.hpp"
 
@@ -22,6 +24,7 @@ int Kernel::add_process(std::function<void(Context&)> body,
   const int pid = static_cast<int>(processes_.size());
   processes_.push_back(std::make_unique<SimProcess>(
       *this, pid, std::move(body), std::move(rng), std::move(stack)));
+  steps_.push_back(0);
   return pid;
 }
 
@@ -47,6 +50,7 @@ void Kernel::start() {
 void Kernel::rewind() {
   started_ = false;
   total_steps_ = 0;
+  std::fill(steps_.begin(), steps_.end(), 0);
   abort_requests_ = 0;
   event_log_.clear();
   memory_.reset_values();
@@ -108,7 +112,7 @@ void Kernel::grant(int pid) {
     if (record_op) record.value = op.value;
   }
   ++total_steps_;
-  ++proc.steps_;
+  ++steps_[static_cast<std::size_t>(pid)];
 
   if (op_observer_) op_observer_(record);
   if (options_.track_events) event_log_.push_back(record);
@@ -147,12 +151,13 @@ void Kernel::abort_request(int pid) {
 
 bool Kernel::run(Adversary& adversary) {
   if (!started_) start();
-  const AdversaryClass clazz = adversary.clazz();  // hoisted virtual call
+  // The view only points at the runnable set and the step counters, so
+  // one view serves the whole run.
+  const KernelView view(*this, adversary.clazz());
   // Post-start() no process is kUnstarted, so "all done" is exactly "the
   // runnable set is empty" -- and the exact set makes that O(1) per step.
   while (!runnable_pids_cached().empty()) {
     if (total_steps_ >= options_.step_limit) return false;
-    KernelView view(*this, clazz);
     const Action action = adversary.next(view);
     switch (action.kind) {
       case Action::Kind::kStep:

@@ -19,6 +19,7 @@
 #include "sim/process.hpp"
 #include "sim/runnable.hpp"
 #include "sim/types.hpp"
+#include "support/assert.hpp"
 
 namespace rts::sim {
 
@@ -70,7 +71,10 @@ class Kernel {
   bool runnable(int pid) const { return process(pid).runnable(); }
   const PendingOp& pending(int pid) const { return process(pid).pending(); }
   std::uint64_t stage(int pid) const { return process(pid).stage(); }
-  std::uint64_t steps(int pid) const { return process(pid).steps(); }
+  std::uint64_t steps(int pid) const {
+    RTS_ASSERT(pid >= 0 && pid < num_processes());
+    return steps_[static_cast<std::size_t>(pid)];
+  }
 
   /// All pids currently announcing a pending op, in pid order.
   std::vector<int> runnable_pids() const;
@@ -119,6 +123,7 @@ class Kernel {
  private:
   friend class SimProcess;
   friend class Context;
+  friend class KernelView;  // reads the runnable set and step counters
 
   Options options_;
   SimMemory memory_;
@@ -127,6 +132,7 @@ class Kernel {
   fiber::ExecutionContext kernel_slot_;
   bool started_ = false;
   std::uint64_t total_steps_ = 0;
+  std::vector<std::uint64_t> steps_;  // granted ops per pid
   int abort_requests_ = 0;
   std::function<void(const OpRecord&)> op_observer_;
   std::vector<OpRecord> event_log_;

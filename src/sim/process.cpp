@@ -77,7 +77,6 @@ void SimProcess::rewind() {
   has_pending_ = false;
   op_result_ = 0;
   resume_point_ = nullptr;
-  steps_ = 0;
   stage_ = 0;
   abort_requested_ = false;
 }

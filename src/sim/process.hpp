@@ -99,7 +99,6 @@ class SimProcess {
   State state() const { return state_; }
   bool runnable() const { return state_ == State::kReady; }
   const PendingOp& pending() const;
-  std::uint64_t steps() const { return steps_; }
   std::uint64_t stage() const { return stage_; }
   bool abort_requested() const { return abort_requested_; }
   support::RandomSource& rng() { return *rng_; }
@@ -132,7 +131,6 @@ class SimProcess {
   bool has_pending_ = false;
   std::uint64_t op_result_ = 0;
   fiber::ExecutionContext* resume_point_ = nullptr;
-  std::uint64_t steps_ = 0;
   std::uint64_t stage_ = 0;
   bool abort_requested_ = false;
 };

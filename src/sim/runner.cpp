@@ -8,6 +8,21 @@
 
 namespace rts::sim {
 
+std::vector<std::string> election_violations(int winners, bool completed,
+                                             bool crash_free,
+                                             int abort_requests) {
+  std::vector<std::string> violations;
+  if (winners > 1) {
+    violations.push_back("safety: more than one winner (" +
+                         std::to_string(winners) + ")");
+  }
+  if (completed && crash_free && abort_requests == 0 && winners != 1) {
+    violations.push_back(
+        "liveness: crash-free complete run without exactly one winner");
+  }
+  return violations;
+}
+
 LeRunResult collect_le_result(const Kernel& kernel, int n, int k,
                               const std::vector<Outcome>& outcomes,
                               std::size_t declared_registers, bool completed,
@@ -51,18 +66,9 @@ LeRunResult collect_le_result(const Kernel& kernel, int n, int k,
     }
   }
 
-  if (result.winners > 1) {
-    result.violations.push_back("safety: more than one winner (" +
-                                std::to_string(result.winners) + ")");
-  }
-  // A requested abort legitimately leaves the run winnerless (every
-  // participant may return kAbort/kLose), so the liveness rule only fires
-  // on abort-free runs.
-  if (result.completed && result.crash_free && result.abort_requests == 0 &&
-      result.winners != 1) {
-    result.violations.push_back(
-        "liveness: crash-free complete run without exactly one winner");
-  }
+  result.violations =
+      election_violations(result.winners, result.completed,
+                          result.crash_free, result.abort_requests);
   for (int pid = 0; pid < k; ++pid) {
     const Outcome outcome = result.outcomes[static_cast<std::size_t>(pid)];
     if (outcome == Outcome::kAbort && !kernel.abort_requested(pid)) {
@@ -159,15 +165,10 @@ LeTrialSummary summarize_le_trial(const Kernel& kernel, int k,
   trial.latency = trial.max_steps;
   // First violation, in collect_le_result's order: safety, then liveness,
   // then the per-pid abort checks in pid order.
-  const int abort_requests = kernel.abort_requests();
-  if (winners > 1) {
-    trial.first_violation =
-        "safety: more than one winner (" + std::to_string(winners) + ")";
-    return trial;
-  }
-  if (completed && trial.crash_free && abort_requests == 0 && winners != 1) {
-    trial.first_violation =
-        "liveness: crash-free complete run without exactly one winner";
+  std::vector<std::string> violations = election_violations(
+      winners, completed, trial.crash_free, kernel.abort_requests());
+  if (!violations.empty()) {
+    trial.first_violation = std::move(violations.front());
     return trial;
   }
   for (int pid = 0; pid < k; ++pid) {

@@ -76,6 +76,15 @@ LeRunResult run_le_once(const LeBuilder& builder, int n, int k,
                         Adversary& adversary, std::uint64_t seed,
                         Kernel::Options kernel_options = {});
 
+/// The election rules every sim trial path checks, in report order:
+/// safety (at most one winner), then liveness (exactly one winner on a
+/// complete, crash-free run without abort requests -- a requested abort
+/// may legitimately leave the run winnerless).  Returns the messages of
+/// the violated rules; empty when the run obeys both.
+std::vector<std::string> election_violations(int winners, bool completed,
+                                             bool crash_free,
+                                             int abort_requests);
+
 /// Post-run collection shared by the fresh path above and the pooled
 /// exec::TrialWorkspace: steps, space accounting, and the safety/liveness
 /// checks over a kernel whose `k` participants just ran to `outcomes`.

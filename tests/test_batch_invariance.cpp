@@ -63,10 +63,10 @@ std::vector<exec::TrialSummary> batch_summaries(algo::AlgorithmId algorithm,
   auto stream = algo::make_batch_stream(algorithm, adversary, n, k, lanes,
                                         kSeed0, step_limit);
   EXPECT_NE(stream, nullptr);
-  std::vector<exec::TrialSummary> out(static_cast<std::size_t>(trials));
-  for (int first = 0; first < trials; first += lanes) {
-    const int count = std::min(lanes, trials - first);
-    stream->run_block(first, count, out.data() + first);
+  std::vector<exec::TrialSummary> out;
+  out.reserve(static_cast<std::size_t>(trials));
+  for (int trial = 0; trial < trials; ++trial) {
+    out.push_back(stream->run_trial(trial));
   }
   return out;
 }
@@ -82,7 +82,7 @@ std::vector<algo::AlgorithmId> eligible_algorithms() {
 std::vector<algo::AdversaryId> eligible_adversaries() {
   std::vector<algo::AdversaryId> out;
   for (const algo::AdversaryInfo& info : algo::all_adversaries()) {
-    if (algo::batch_sched(info.id).has_value()) out.push_back(info.id);
+    if (algo::batch_eligible(info.id)) out.push_back(info.id);
   }
   return out;
 }
@@ -114,6 +114,16 @@ TEST(BatchInvariance, EligibleCatalogueIsEnumeratedAsExpected) {
   // below without failing it.
   EXPECT_EQ(eligible_algorithms().size(), 6u);
   EXPECT_EQ(eligible_adversaries().size(), 4u);
+}
+
+TEST(BatchInvariance, EligibleAdversariesAreTheObliviousStepAndCrashOnes) {
+  // The catalogue predicate (oblivious, abort-free, seed-constructible)
+  // selects exactly these four schedulers; a new catalogue entry that
+  // changes the set must be looked at here.
+  const std::vector<algo::AdversaryId> expected = {
+      algo::AdversaryId::kUniformRandom, algo::AdversaryId::kRoundRobin,
+      algo::AdversaryId::kSequential, algo::AdversaryId::kCrashAfterOps};
+  EXPECT_EQ(eligible_adversaries(), expected);
 }
 
 TEST(BatchInvariance, BatchedMatchesScalarAcrossEligibleCatalogue) {
@@ -200,7 +210,7 @@ TEST(BatchInvariance, IneligiblePairsRefuseAStream) {
   for (const algo::AdversaryId adversary :
        {algo::AdversaryId::kAbortAfterOps, algo::AdversaryId::kGeNeutralizer,
         algo::AdversaryId::kReplay}) {
-    EXPECT_FALSE(algo::batch_sched(adversary).has_value());
+    EXPECT_FALSE(algo::batch_eligible(adversary));
     EXPECT_EQ(algo::make_batch_stream(algo::AlgorithmId::kLogStarChain,
                                       adversary, 8, 8, 8, kSeed0,
                                       10'000'000),
@@ -218,7 +228,7 @@ TEST(BatchInvariance, IneligiblePairsRefuseAStream) {
   }
 }
 
-TEST(BatchInvariance, BlocksAreAPureFunctionOfTheirTrialRange) {
+TEST(BatchInvariance, TrialsAreAPureFunctionOfTheirIndex) {
   // Work-stealing executors may run trials out of order, after others have
   // dirtied the bank: byte-identical either way.
   auto stream = algo::make_batch_stream(
@@ -226,26 +236,30 @@ TEST(BatchInvariance, BlocksAreAPureFunctionOfTheirTrialRange) {
       /*n=*/16, /*k=*/16, /*lanes=*/8, kSeed0, /*step_limit=*/10'000'000);
   ASSERT_NE(stream, nullptr);
   std::vector<exec::TrialSummary> forward(16);
-  stream->run_block(0, 8, forward.data());
-  stream->run_block(8, 8, forward.data() + 8);
+  for (int trial = 0; trial < 16; ++trial) {
+    forward[static_cast<std::size_t>(trial)] = stream->run_trial(trial);
+  }
   // Reversed order, through the same (now dirty) stream object.
   std::vector<exec::TrialSummary> reversed(16);
-  stream->run_block(8, 8, reversed.data() + 8);
-  stream->run_block(0, 8, reversed.data());
-  // Partial blocks over the same trials, fresh stream.
+  for (int trial = 15; trial >= 0; --trial) {
+    reversed[static_cast<std::size_t>(trial)] = stream->run_trial(trial);
+  }
+  // Strided partial passes over the same trials, fresh stream.
   auto fresh = algo::make_batch_stream(
       algo::AlgorithmId::kSiftChain, algo::AdversaryId::kCrashAfterOps,
       /*n=*/16, /*k=*/16, /*lanes=*/8, kSeed0, /*step_limit=*/10'000'000);
   std::vector<exec::TrialSummary> partial(16);
-  for (int first = 0; first < 16; first += 3) {
-    fresh->run_block(first, std::min(3, 16 - first), partial.data() + first);
+  for (int offset = 0; offset < 3; ++offset) {
+    for (int trial = offset; trial < 16; trial += 3) {
+      partial[static_cast<std::size_t>(trial)] = fresh->run_trial(trial);
+    }
   }
   for (int trial = 0; trial < 16; ++trial) {
     ASSERT_EQ(summary_bytes(forward[static_cast<std::size_t>(trial)]),
               summary_bytes(reversed[static_cast<std::size_t>(trial)]))
         << trial;
-    // Blocks of another size put different trials before each trial --
-    // identical bytes prove the bank reset leaks nothing between trials.
+    // Another order puts different trials before each trial -- identical
+    // bytes prove the bank reset leaks nothing between trials.
     ASSERT_EQ(summary_bytes(forward[static_cast<std::size_t>(trial)]),
               summary_bytes(partial[static_cast<std::size_t>(trial)]))
         << trial;

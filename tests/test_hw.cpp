@@ -116,10 +116,40 @@ TEST(HwHarness, SummarizeTrialFillsTheSharedContract) {
   EXPECT_TRUE(trial.first_violation.empty());
 }
 
-TEST(HwHarness, DeprecatedAliasStillNamesTheUnifiedCatalogue) {
-  static_assert(std::is_same_v<HwAlgorithmId, algo::AlgorithmId>);
-  const HwRunResult r = run_hw_le(HwAlgorithmId::kNativeAtomic, 2, 5);
+TEST(HwHarness, NativeAtomicElectsOneWinner) {
+  const HwRunResult r = run_hw_le(algo::AlgorithmId::kNativeAtomic, 2, 5);
   EXPECT_EQ(r.winners, 1);
+}
+
+TEST(HwHarness, RetriesATimedOutElectionUpToTheCap) {
+  // Every participant sleeps 2ms before its first op, past a 0.2ms
+  // deadline, so every attempt times out: the loop runs 1 + max_retries
+  // elections, keeps the last one and counts the faults of all of them.
+  const auto plan = fault::FaultPlan::parse("delay:p=1,us=2000", nullptr);
+  ASSERT_TRUE(plan.has_value());
+  HwTrialPool pool(2);
+  HwRunOptions options;
+  options.deadline_ns = 200'000;
+  fault::BackoffPolicy backoff;
+  backoff.base_us = 1;
+  backoff.cap_us = 1;
+  const HwRetriedRun late =
+      run_with_retries(pool, algo::AlgorithmId::kTournament, 2, /*seed=*/7,
+                       options, *plan, /*max_retries=*/2, backoff);
+  EXPECT_EQ(late.attempts, 3);
+  EXPECT_EQ(pool.trials_run(), 3u);
+  EXPECT_TRUE(late.run.timed_out);
+  EXPECT_EQ(late.dealt.delays, 6u);  // both participants, every attempt
+  EXPECT_EQ(late.violating_attempts, 0);
+
+  // No deadline and no faults: the first attempt stands.
+  const HwRetriedRun calm =
+      run_with_retries(pool, algo::AlgorithmId::kNativeAtomic, 2, /*seed=*/7,
+                       HwRunOptions{}, fault::FaultPlan{}, 2, backoff);
+  EXPECT_EQ(calm.attempts, 1);
+  EXPECT_FALSE(calm.run.timed_out);
+  EXPECT_EQ(calm.run.winners, 1);
+  EXPECT_EQ(calm.dealt.delays, 0u);
 }
 
 }  // namespace

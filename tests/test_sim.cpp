@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "sim/adversaries.hpp"
 #include "sim/adversary.hpp"
@@ -276,6 +277,29 @@ TEST(AdversaryView, RWObliviousHidesRandomKind) {
   EXPECT_TRUE(p.reg.has_value()) << "location stays visible";
   EXPECT_FALSE(p.kind.has_value()) << "read-vs-write is hidden";
   EXPECT_FALSE(p.value.has_value()) << "the value would reveal a write";
+}
+
+TEST(AdversaryView, KernelLessViewReadsTheEngineState) {
+  // The batch engine's view: its own runnable set and counters, no kernel.
+  const std::vector<int> runnable = {1, 3};
+  const std::vector<std::uint64_t> steps = {5, 2, 0, 7};
+  std::uint64_t total = 14;
+  const KernelView view(runnable, steps, total);
+  EXPECT_EQ(view.clazz(), AdversaryClass::kOblivious);
+  EXPECT_EQ(view.num_processes(), 4);
+  for (int pid = 0; pid < 4; ++pid) {
+    EXPECT_EQ(view.steps(pid), steps[static_cast<std::size_t>(pid)]) << pid;
+    EXPECT_EQ(view.is_runnable(pid), pid == 1 || pid == 3) << pid;
+  }
+  EXPECT_EQ(view.total_steps(), 14u);
+  total = 15;  // the view reads the counter, it does not copy it
+  EXPECT_EQ(view.total_steps(), 15u);
+  EXPECT_EQ(&view.runnable(), &runnable);
+  const PendingOpView p = view.pending(3);
+  EXPECT_EQ(p.pid, 3);
+  EXPECT_FALSE(p.kind.has_value());
+  EXPECT_FALSE(p.reg.has_value());
+  EXPECT_FALSE(p.value.has_value());
 }
 
 // --- Concrete adversaries -------------------------------------------------
