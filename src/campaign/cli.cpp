@@ -19,7 +19,6 @@
 #include "campaign/soak.hpp"
 #include "fault/plan.hpp"
 #include "fault/signal.hpp"
-#include "sim/adversaries.hpp"
 #include "sim/minimize.hpp"
 #include "sim/trace.hpp"
 #include "support/assert.hpp"
@@ -759,15 +758,8 @@ int run_minimize(const CliArgs& args) {
         sim::predicate_family_thresholded(spec.family)) {
       // Default threshold: preserve the recorded trial's own badness.  The
       // winner-steps metric is not stored in the digest, so replay once.
-      const sim::TrialTrace& trial = cell.trials[trial_index];
-      sim::ReplayAdversary adversary(&trial.actions);
-      sim::Kernel::Options options;
-      if (cell.step_limit > 0) options.step_limit = cell.step_limit;
-      const sim::LeRunResult replayed =
-          sim::run_le_once(builder, static_cast<int>(cell.n),
-                           static_cast<int>(cell.k), adversary,
-                           trial.trial_seed, options);
-      const std::uint64_t metric = sim::hunt_metric(spec, replayed);
+      const std::uint64_t metric = sim::hunt_metric(
+          spec, sim::replay_cell_trial(builder, cell, cell.trials[trial_index]));
       if (metric == 0) {
         // E.g. winner-steps on a winnerless trial: a >=0 threshold would
         // hold on every candidate and "minimize" to a degenerate schedule.

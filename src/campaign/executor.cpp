@@ -15,8 +15,6 @@
 #include "exec/workspace.hpp"
 #include "fault/checkpoint.hpp"
 #include "hw/harness.hpp"
-#include "sim/adversaries.hpp"
-#include "sim/trace.hpp"
 #include "support/assert.hpp"
 
 namespace rts::campaign {
@@ -103,16 +101,15 @@ std::shared_ptr<const sim::CellTrace> load_cell_trace(
                      " does not match the campaign spec")
                         .c_str());
   };
-  check(trace->algorithm == algo::info(cell.algorithm).name,
+  const sim::CellTrace header = cell_trace_header(cell, trace->campaign);
+  check(trace->algorithm == header.algorithm,
         "algorithm '" + trace->algorithm + "'");
-  check(trace->adversary == algo::info(cell.adversary).name,
+  check(trace->adversary == header.adversary,
         "adversary '" + trace->adversary + "'");
-  check(static_cast<int>(trace->n) == cell.n &&
-            static_cast<int>(trace->k) == cell.k,
-        "geometry (n, k)");
-  check(trace->seed0 == cell.seed0, "seed stream");
-  check(trace->step_limit == cell.step_limit, "step limit");
-  check(trace->rmr == cell.rmr,
+  check(trace->n == header.n && trace->k == header.k, "geometry (n, k)");
+  check(trace->seed0 == header.seed0, "seed stream");
+  check(trace->step_limit == header.step_limit, "step limit");
+  check(trace->rmr == header.rmr,
         std::string("rmr model '") + rmr::to_string(trace->rmr) + "'");
   check(trace->trials.size() >= static_cast<std::size_t>(cell.trials),
         "trial count " + std::to_string(trace->trials.size()));
@@ -136,16 +133,7 @@ void write_recorded_traces(const std::string& record_dir,
   std::vector<int> trials_recorded(cells.size(), 0);
   for (const CellSpec& cell : cells) {
     if (cell.backend != exec::Backend::kSim) continue;
-    sim::CellTrace out;
-    out.campaign = result.spec.name;
-    out.algorithm = algo::info(cell.algorithm).name;
-    out.adversary = algo::info(cell.adversary).name;
-    out.cell_index = static_cast<std::uint32_t>(cell.index);
-    out.n = static_cast<std::uint32_t>(cell.n);
-    out.k = static_cast<std::uint32_t>(cell.k);
-    out.seed0 = cell.seed0;
-    out.step_limit = cell.step_limit;
-    out.rmr = cell.rmr;
+    sim::CellTrace out = cell_trace_header(cell, result.spec.name);
     // Only the contiguous ran prefix: a budget-truncated campaign may have
     // holes, and a trace with holes could not replay as a stream.
     const std::size_t base = static_cast<std::size_t>(cell.index) * trials;
@@ -300,6 +288,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       continue;
     }
     sim::LeBuilder builder = algo::sim_builder(cell.algorithm);
+    const sim::Kernel::Options kernel_options =
+        sim::cell_kernel_options(cell.step_limit, cell.rmr);
     if (replay) {
       // Replay cells ignore the catalogue factory: the recorded schedule is
       // re-driven verbatim, and any divergence from the recorded digest
@@ -307,17 +297,14 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       // multi-path form of this check).
       runners.push_back(
           [builder = std::move(builder),
-           trace = cell_traces[static_cast<std::size_t>(cell.index)],
-           cell](exec::TrialWorkspace& workspace, int trial) {
+           trace = cell_traces[static_cast<std::size_t>(cell.index)], cell,
+           kernel_options](exec::TrialWorkspace& workspace, int trial) {
             const sim::TrialTrace& recorded =
                 trace->trials[static_cast<std::size_t>(trial)];
-            sim::ReplayAdversary adversary(&recorded.actions);
-            sim::Kernel::Options kernel_options;
-            kernel_options.step_limit = cell.step_limit;
-            kernel_options.rmr_model = cell.rmr;
-            const sim::LeRunResult result = workspace.run_le_once(
-                static_cast<std::uint64_t>(cell.index), builder, cell.n,
-                cell.k, adversary, recorded.trial_seed, kernel_options);
+            const sim::LeRunResult result = sim::replay_actions(
+                builder, cell.n, cell.k, recorded.actions,
+                recorded.trial_seed, kernel_options, &workspace,
+                static_cast<std::uint64_t>(cell.index));
             const std::string drift = sim::replay_mismatch(recorded, result);
             if (!drift.empty()) {
               // Full provenance, so a mismatch in a thousand-cell replay
@@ -337,26 +324,15 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     if (record) {
       runners.push_back(
           [builder = std::move(builder), adversary = std::move(adversary),
-           cell, traces = &trial_traces,
+           cell, kernel_options, traces = &trial_traces,
            trials](exec::TrialWorkspace& workspace, int trial) {
-            const std::uint64_t seed = sim::trial_seed(cell.seed0, trial);
-            const std::uint64_t adversary_seed = sim::adversary_seed(seed);
-            sim::TrialTrace& out =
-                (*traces)[static_cast<std::size_t>(cell.index) * trials +
-                          static_cast<std::size_t>(trial)];
-            out.trial_seed = seed;
-            out.adversary_seed = adversary_seed;
-            const std::unique_ptr<sim::Adversary> inner =
-                adversary(adversary_seed);
-            sim::RecordingAdversary recorder(*inner, &out.actions);
-            sim::Kernel::Options kernel_options;
-            kernel_options.step_limit = cell.step_limit;
-            kernel_options.rmr_model = cell.rmr;
-            const sim::LeRunResult result = workspace.run_le_once(
-                static_cast<std::uint64_t>(cell.index), builder, cell.n,
-                cell.k, recorder, seed, kernel_options);
-            sim::fill_trace_result(out, result);
-            return sim::summarize_trial(result);
+            sim::TrialTrace* out =
+                &(*traces)[static_cast<std::size_t>(cell.index) * trials +
+                           static_cast<std::size_t>(trial)];
+            return sim::summarize_trial(sim::record_trial_trace(
+                builder, cell.n, cell.k, adversary, trial, cell.seed0,
+                kernel_options, out, &workspace,
+                static_cast<std::uint64_t>(cell.index)));
           });
       continue;
     }
@@ -389,11 +365,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       continue;
     }
     runners.push_back(
-        [builder = std::move(builder), adversary = std::move(adversary),
-         cell](exec::TrialWorkspace& workspace, int trial) {
-          sim::Kernel::Options kernel_options;
-          kernel_options.step_limit = cell.step_limit;
-          kernel_options.rmr_model = cell.rmr;
+        [builder = std::move(builder), adversary = std::move(adversary), cell,
+         kernel_options](exec::TrialWorkspace& workspace, int trial) {
           // Direct-to-summary: folds kernel state straight into the
           // TrialSummary, skipping LeRunResult's per-trial vectors.
           return workspace.run_le_trial_summary(
@@ -674,6 +647,21 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   }
   result.deadlines = options.hw_deadline_ns > 0;
   return result;
+}
+
+sim::CellTrace cell_trace_header(const CellSpec& cell,
+                                 const std::string& campaign) {
+  sim::CellTrace header;
+  header.campaign = campaign;
+  header.algorithm = algo::info(cell.algorithm).name;
+  header.adversary = algo::info(cell.adversary).name;
+  header.cell_index = static_cast<std::uint32_t>(cell.index);
+  header.n = static_cast<std::uint32_t>(cell.n);
+  header.k = static_cast<std::uint32_t>(cell.k);
+  header.seed0 = cell.seed0;
+  header.step_limit = cell.step_limit;
+  header.rmr = cell.rmr;
+  return header;
 }
 
 std::function<void(const Progress&)> stderr_progress(const char* label) {

@@ -35,6 +35,7 @@
 #include "fault/backoff.hpp"
 #include "fault/plan.hpp"
 #include "sim/runner.hpp"
+#include "sim/trace.hpp"
 #include "telemetry/perf_counters.hpp"
 
 namespace rts::campaign {
@@ -156,6 +157,13 @@ struct CampaignResult {
 
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const ExecutorOptions& options = {});
+
+/// The .rtst header of a sim cell recorded under `campaign`: catalogue
+/// names, cell index, geometry, seed stream, step limit and RMR model, with
+/// no trials.  --record and the worst-case hunt write it; --replay checks
+/// every loaded trace against it.
+sim::CellTrace cell_trace_header(const CellSpec& cell,
+                                 const std::string& campaign);
 
 /// Renders a one-line progress callback writing to stderr, suitable for
 /// ExecutorOptions::on_progress in interactive runs.

@@ -7,8 +7,8 @@
 #include <set>
 
 #include "algo/registry.hpp"
+#include "campaign/executor.hpp"
 #include "exec/conformance.hpp"
-#include "sim/adversaries.hpp"
 #include "sim/runner.hpp"
 #include "sim/trace.hpp"
 #include "support/assert.hpp"
@@ -18,33 +18,22 @@ namespace rts::campaign {
 
 namespace {
 
-/// Records every trial of one sim cell the way the campaign executor's
-/// --record path does, returning a self-contained cell trace plus the
-/// per-trial results the hunt ranks.
+/// Records every trial of one sim cell through the recorder the campaign
+/// executor's --record path uses, returning a self-contained cell trace
+/// plus the per-trial results the hunt ranks.
 sim::CellTrace record_cell(const CellSpec& cell, const std::string& campaign,
                            std::vector<sim::LeRunResult>* results) {
   const sim::LeBuilder builder = algo::sim_builder(cell.algorithm);
   const sim::AdversaryFactory factory =
       algo::adversary_factory(cell.adversary);
-  sim::CellTrace trace;
-  trace.campaign = campaign;
-  trace.algorithm = algo::info(cell.algorithm).name;
-  trace.adversary = algo::info(cell.adversary).name;
-  trace.cell_index = static_cast<std::uint32_t>(cell.index);
-  trace.n = static_cast<std::uint32_t>(cell.n);
-  trace.k = static_cast<std::uint32_t>(cell.k);
-  trace.seed0 = cell.seed0;
-  trace.step_limit = cell.step_limit;
-  trace.rmr = cell.rmr;
-  sim::Kernel::Options kernel_options;
-  kernel_options.step_limit = cell.step_limit;
-  kernel_options.rmr_model = cell.rmr;
+  const sim::Kernel::Options kernel_options =
+      sim::cell_kernel_options(cell.step_limit, cell.rmr);
+  sim::CellTrace trace = cell_trace_header(cell, campaign);
+  trace.trials.resize(static_cast<std::size_t>(cell.trials));
   for (int t = 0; t < cell.trials; ++t) {
-    sim::TrialTrace trial;
-    results->push_back(sim::record_trial_trace(builder, cell.n, cell.k,
-                                               factory, t, cell.seed0,
-                                               kernel_options, &trial));
-    trace.trials.push_back(std::move(trial));
+    results->push_back(sim::record_trial_trace(
+        builder, cell.n, cell.k, factory, t, cell.seed0, kernel_options,
+        &trace.trials[static_cast<std::size_t>(t)]));
   }
   return trace;
 }

@@ -8,7 +8,6 @@
 #include "fiber/fiber.hpp"
 #include "hw/harness.hpp"
 #include "hw/platform.hpp"
-#include "sim/adversaries.hpp"
 #include "sim/runner.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
@@ -196,9 +195,6 @@ ConformanceReport check_cell(const sim::CellTrace& cell,
   RTS_REQUIRE(cell.k >= 1 && cell.k <= cell.n,
               "conformance: trace needs 1 <= k <= n");
   const sim::LeBuilder builder = algo::sim_builder(*id);
-  sim::Kernel::Options kernel_options;
-  if (cell.step_limit > 0) kernel_options.step_limit = cell.step_limit;
-  kernel_options.rmr_model = cell.rmr;
   const bool hw_ok = options.hw && hw_expressible(cell);
 
   ConformanceReport report;
@@ -220,19 +216,11 @@ ConformanceReport check_cell(const sim::CellTrace& cell,
 
     std::optional<sim::LeRunResult> fresh;
     std::optional<sim::LeRunResult> pooled;
-    const auto run_path = [&](const char* path_label, bool use_pool)
+    const auto run_path = [&](const char* path_label, TrialWorkspace* pool)
         -> std::optional<sim::LeRunResult> {
-      sim::ReplayAdversary adversary(&trial.actions);
       try {
         sim::LeRunResult result =
-            use_pool ? workspace.run_le_once(cell.cell_index, builder,
-                                             static_cast<int>(cell.n),
-                                             static_cast<int>(cell.k),
-                                             adversary, trial.trial_seed,
-                                             kernel_options)
-                     : sim::run_le_once(builder, static_cast<int>(cell.n),
-                                        static_cast<int>(cell.k), adversary,
-                                        trial.trial_seed, kernel_options);
+            sim::replay_cell_trial(builder, cell, trial, pool);
         const std::string drift = sim::replay_mismatch(trial, result);
         if (!drift.empty()) {
           report.mismatches.push_back(prefix + " [" + path_label +
@@ -247,11 +235,11 @@ ConformanceReport check_cell(const sim::CellTrace& cell,
     };
 
     if (options.fresh_sim) {
-      fresh = run_path("fresh", /*use_pool=*/false);
+      fresh = run_path("fresh", nullptr);
       if (fresh) ++report.fresh_runs;
     }
     if (options.pooled_sim) {
-      pooled = run_path("pooled", /*use_pool=*/true);
+      pooled = run_path("pooled", &workspace);
       if (pooled) ++report.pooled_runs;
     }
     if (fresh && pooled) {

@@ -11,12 +11,7 @@
 #include <sched.h>
 #endif
 
-#include "algo/aa.hpp"
-#include "algo/cascade.hpp"
-#include "algo/chain.hpp"
-#include "algo/combined.hpp"
-#include "algo/ratrace.hpp"
-#include "algo/tournament.hpp"
+#include "algo/make_le.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 
@@ -47,46 +42,15 @@ class DivergeHwLe final : public algo::ILeaderElect<HwPlatform> {
 
 std::unique_ptr<algo::ILeaderElect<HwPlatform>> make_hw_le(
     algo::AlgorithmId id, HwPlatform::Arena arena, int n) {
-  using P = HwPlatform;
   RTS_REQUIRE(algo::supports(id, exec::Backend::kHw),
               "algorithm has no hardware backend");
-  switch (id) {
-    case algo::AlgorithmId::kLogStarChain:
-      return std::make_unique<algo::GeChainLe<P>>(
-          arena, n,
-          algo::fig1_truncated_factory<P>(n, algo::default_live_prefix(n)));
-    case algo::AlgorithmId::kSiftChain:
-      return std::make_unique<algo::GeChainLe<P>>(
-          arena, n, algo::sift_truncated_factory<P>(n));
-    case algo::AlgorithmId::kSiftCascade:
-      return std::make_unique<algo::SiftCascadeLe<P>>(arena, n);
-    case algo::AlgorithmId::kRatRace:
-      return std::make_unique<algo::RatRaceOriginal<P>>(arena, n);
-    case algo::AlgorithmId::kRatRacePath:
-      return std::make_unique<algo::RatRacePath<P>>(arena, n);
-    case algo::AlgorithmId::kCombinedLogStar:
-      return std::make_unique<algo::CombinedLe<P>>(
-          arena, n,
-          std::make_unique<algo::GeChainLe<P>>(
-              arena, n,
-              algo::fig1_truncated_factory<P>(n,
-                                              algo::default_live_prefix(n))));
-    case algo::AlgorithmId::kCombinedSift:
-      return std::make_unique<algo::CombinedLe<P>>(
-          arena, n, std::make_unique<algo::SiftCascadeLe<P>>(arena, n));
-    case algo::AlgorithmId::kTournament:
-      return std::make_unique<algo::TournamentLe<P>>(arena, n);
-    case algo::AlgorithmId::kAaSiftRatRace:
-      return std::make_unique<algo::AaSiftRatRaceLe<P>>(arena, n);
-    case algo::AlgorithmId::kDivergeHw:
-      return std::make_unique<DivergeHwLe>(arena);
-    case algo::AlgorithmId::kNativeAtomic:
-      return nullptr;
-    case algo::AlgorithmId::kAbortableRace:
-      break;  // sim-only: the RTS_REQUIRE above already rejected it
+  // The hw-only ids: the diagnostic spinner, and the native baseline, whose
+  // null object tells the harness to elect with one atomic exchange.
+  if (id == algo::AlgorithmId::kDivergeHw) {
+    return std::make_unique<DivergeHwLe>(arena);
   }
-  RTS_ASSERT_MSG(false, "unknown hardware algorithm id");
-  return nullptr;
+  if (id == algo::AlgorithmId::kNativeAtomic) return nullptr;
+  return algo::make_le<HwPlatform>(id, arena, n);
 }
 
 namespace {

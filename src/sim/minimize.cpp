@@ -6,7 +6,6 @@
 
 #include "exec/conformance.hpp"
 #include "exec/workspace.hpp"
-#include "sim/adversaries.hpp"
 #include "support/assert.hpp"
 
 namespace rts::sim {
@@ -177,15 +176,12 @@ std::uint64_t schedule_step_budget(const std::vector<Action>& actions) {
 std::optional<LeRunResult> replay_schedule_prefix(
     const LeBuilder& builder, int n, int k,
     const std::vector<Action>& actions, std::uint64_t trial_seed,
-    rmr::RmrModel rmr_model) {
+    rmr::RmrModel rmr_model, exec::TrialWorkspace* workspace) {
   const std::uint64_t budget = schedule_step_budget(actions);
   if (budget == 0) return std::nullopt;  // a grant-free schedule is degenerate
-  Kernel::Options options;
-  options.step_limit = budget;
-  options.rmr_model = rmr_model;
-  ReplayAdversary adversary(&actions);
   try {
-    return run_le_once(builder, n, k, adversary, trial_seed, options);
+    return replay_actions(builder, n, k, actions, trial_seed,
+                          cell_kernel_options(budget, rmr_model), workspace);
   } catch (const Error&) {
     return std::nullopt;  // action targeting a non-runnable pid
   }
@@ -193,63 +189,12 @@ std::optional<LeRunResult> replay_schedule_prefix(
 
 namespace {
 
-/// Tests candidate schedules for one (cell, trial, predicate) minimization:
-/// fresh replay under the prefix convention, plus a pooled replay for
-/// predicates that compare backends.
-class CandidateEvaluator {
- public:
-  CandidateEvaluator(const LeBuilder& builder, const CellTrace& cell,
-                     const TrialTrace& trial, const TracePredicate& predicate)
-      : builder_(&builder), cell_(&cell), trial_(&trial),
-        predicate_(&predicate) {}
-
-  bool test(const std::vector<Action>& actions) {
-    ++evals_;
-    const std::optional<LeRunResult> fresh = replay_schedule_prefix(
-        *builder_, static_cast<int>(cell_->n), static_cast<int>(cell_->k),
-        actions, trial_->trial_seed, cell_->rmr);
-    if (!fresh) return false;
-    std::optional<LeRunResult> pooled;
-    if (predicate_->needs_pooled) {
-      Kernel::Options options;
-      options.step_limit = schedule_step_budget(actions);
-      options.rmr_model = cell_->rmr;
-      ReplayAdversary adversary(&actions);
-      try {
-        pooled = workspace_.run_le_once(
-            /*key=*/0, *builder_, static_cast<int>(cell_->n),
-            static_cast<int>(cell_->k), adversary, trial_->trial_seed,
-            options);
-      } catch (const Error&) {
-        // Leaving pooled empty: the divergence oracle treats a pooled-only
-        // replay failure as a divergence.
-      }
-    }
-    CandidateRun run;
-    run.cell = cell_;
-    run.trial = trial_;
-    run.actions = &actions;
-    run.result = &*fresh;
-    run.pooled = pooled ? &*pooled : nullptr;
-    return predicate_->holds(run);
-  }
-
-  int evals() const { return evals_; }
-
- private:
-  const LeBuilder* builder_;
-  const CellTrace* cell_;
-  const TrialTrace* trial_;
-  const TracePredicate* predicate_;
-  exec::TrialWorkspace workspace_;
-  int evals_ = 0;
-};
-
 /// One ddmin sweep: starting at granularity 2, repeatedly try dropping one
 /// of n near-equal chunks; on success adopt the complement and coarsen one
 /// notch, on failure double the granularity, until single-action removals
 /// fail too.  Returns whether anything was removed.
-bool ddmin_pass(std::vector<Action>& current, CandidateEvaluator& evaluator) {
+bool ddmin_pass(std::vector<Action>& current,
+                const std::function<bool(const std::vector<Action>&)>& test) {
   bool removed_any = false;
   std::size_t granularity = 2;
   while (current.size() >= 2) {
@@ -266,7 +211,7 @@ bool ddmin_pass(std::vector<Action>& current, CandidateEvaluator& evaluator) {
       candidate.insert(candidate.end(),
                        current.begin() + static_cast<std::ptrdiff_t>(end),
                        current.end());
-      if (evaluator.test(candidate)) {
+      if (test(candidate)) {
         current = std::move(candidate);
         granularity = std::max<std::size_t>(granularity - 1, 2);
         removed = true;
@@ -299,31 +244,47 @@ MinimizeResult minimize_trial(const LeBuilder& builder, const CellTrace& cell,
   // own step limit.  A trace that no longer reproduces what it recorded is
   // corrupt or was recorded by different code; minimizing it would produce
   // a confidently-wrong artifact.
-  {
-    Kernel::Options options;
-    if (cell.step_limit > 0) options.step_limit = cell.step_limit;
-    options.rmr_model = cell.rmr;
-    ReplayAdversary adversary(&trial.actions);
-    LeRunResult replayed;
-    try {
-      replayed = run_le_once(builder, n, k, adversary, trial.trial_seed,
-                             options);
-    } catch (const Error& error) {
-      throw Error(std::string("minimize: input trace does not replay: ") +
-                  error.what());
-    }
-    const std::string drift = replay_mismatch(trial, replayed);
-    if (!drift.empty()) {
-      throw Error("minimize: input trace diverges from its recorded digest (" +
-                  drift + ")");
-    }
+  LeRunResult replayed;
+  try {
+    replayed = replay_cell_trial(builder, cell, trial);
+  } catch (const Error& error) {
+    throw Error(std::string("minimize: input trace does not replay: ") +
+                error.what());
+  }
+  const std::string drift = replay_mismatch(trial, replayed);
+  if (!drift.empty()) {
+    throw Error("minimize: input trace diverges from its recorded digest (" +
+                drift + ")");
   }
 
+  // Every candidate replays fresh under the prefix convention, plus pooled
+  // for predicates that compare backends; a pooled-only replay failure
+  // leaves `pooled` empty, which the divergence oracle treats as a
+  // divergence.
+  exec::TrialWorkspace workspace;
+  int evals = 0;
+  const auto test = [&](const std::vector<Action>& actions) {
+    ++evals;
+    const std::optional<LeRunResult> fresh = replay_schedule_prefix(
+        builder, n, k, actions, trial.trial_seed, cell.rmr);
+    if (!fresh) return false;
+    std::optional<LeRunResult> pooled;
+    if (predicate.needs_pooled) {
+      pooled = replay_schedule_prefix(builder, n, k, actions,
+                                      trial.trial_seed, cell.rmr, &workspace);
+    }
+    CandidateRun run;
+    run.cell = &cell;
+    run.trial = &trial;
+    run.actions = &actions;
+    run.result = &*fresh;
+    run.pooled = pooled ? &*pooled : nullptr;
+    return predicate.holds(run);
+  };
   // Gate 2: the predicate must hold on the unminimized schedule (under the
   // prefix convention every candidate is evaluated with).
-  CandidateEvaluator evaluator(builder, cell, trial, predicate);
   std::vector<Action> current = trial.actions;
-  if (!evaluator.test(current)) {
+  if (!test(current)) {
     throw Error("minimize: predicate '" + predicate.spec +
                 "' does not hold on the input trial");
   }
@@ -335,10 +296,10 @@ MinimizeResult minimize_trial(const LeBuilder& builder, const CellTrace& cell,
   // removing anything, which is exactly the first pass a re-run would
   // perform -- minimization is idempotent by construction.
   int passes = 1;
-  while (ddmin_pass(current, evaluator)) ++passes;
+  while (ddmin_pass(current, test)) ++passes;
   out.stats.passes = passes;
   out.stats.minimized_actions = current.size();
-  out.stats.evals = evaluator.evals();
+  out.stats.evals = evals;
 
   // Recompute the outcome digest from the minimized schedule's replay and
   // package a standalone single-trial cell whose step_limit is the prefix
@@ -354,16 +315,9 @@ MinimizeResult minimize_trial(const LeBuilder& builder, const CellTrace& cell,
   minimized.actions = std::move(current);
   fill_trace_result(minimized, *final_run);
 
-  out.cell.campaign = cell.campaign;
-  out.cell.algorithm = cell.algorithm;
-  out.cell.adversary = cell.adversary;
-  out.cell.cell_index = cell.cell_index;
-  out.cell.n = cell.n;
-  out.cell.k = cell.k;
-  out.cell.seed0 = cell.seed0;
+  out.cell = cell;  // identity and geometry; the trial list is replaced
   out.cell.step_limit = schedule_step_budget(minimized.actions);
-  out.cell.rmr = cell.rmr;
-  out.cell.trials.push_back(std::move(minimized));
+  out.cell.trials.assign(1, minimized);
   return out;
 }
 

@@ -17,8 +17,9 @@
 // starved (never granted again), precisely like a recording cut off by the
 // step limit.  Minimized cells store that budget as their step_limit, which
 // makes them ordinary starved-replay traces for every existing consumer:
-// ReplayAdversary, the campaign --replay path, and all three conformance
-// paths (fresh sim, pooled sim, scheduled hw) replay them unchanged.
+// the replayer (sim::replay_cell_trial), the campaign --replay path, and
+// all three conformance paths (fresh sim, pooled sim, scheduled hw) replay
+// them unchanged.
 //
 // Minimization is deterministic (a pure function of the input trace and
 // predicate) and idempotent: the last ddmin pass runs every granularity
@@ -145,12 +146,14 @@ std::uint64_t schedule_step_budget(const std::vector<Action>& actions);
 
 /// Replays `actions` as a schedule prefix for a trial of the cell's stream
 /// seeded with `trial_seed` (see the convention above), tallying RMRs under
-/// `rmr_model`.  Returns std::nullopt when the candidate is not a
-/// well-formed schedule for this trial: a grant or crash targeting a pid
-/// that is not runnable at that point, or a schedule with no grants at all.
+/// `rmr_model`, through replay_actions: fresh, or pooled in `workspace`.
+/// Returns std::nullopt when the candidate is not a well-formed schedule
+/// for this trial: a grant or crash targeting a pid that is not runnable at
+/// that point, or a schedule with no grants at all.
 std::optional<LeRunResult> replay_schedule_prefix(
     const LeBuilder& builder, int n, int k, const std::vector<Action>& actions,
-    std::uint64_t trial_seed, rmr::RmrModel rmr_model = rmr::RmrModel::kNone);
+    std::uint64_t trial_seed, rmr::RmrModel rmr_model = rmr::RmrModel::kNone,
+    exec::TrialWorkspace* workspace = nullptr);
 
 struct MinimizeStats {
   std::size_t original_actions = 0;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "exec/workspace.hpp"
 #include "sim/adversaries.hpp"
 #include "support/assert.hpp"
 #include "support/math.hpp"
@@ -178,18 +179,56 @@ std::string replay_mismatch(const TrialTrace& trace,
   return {};
 }
 
+Kernel::Options cell_kernel_options(std::uint64_t step_limit,
+                                    rmr::RmrModel rmr) {
+  Kernel::Options options;
+  if (step_limit > 0) options.step_limit = step_limit;
+  options.rmr_model = rmr;
+  return options;
+}
+
+LeRunResult replay_actions(const LeBuilder& builder, int n, int k,
+                           const std::vector<Action>& actions,
+                           std::uint64_t trial_seed,
+                           const Kernel::Options& options,
+                           exec::TrialWorkspace* workspace,
+                           std::uint64_t key) {
+  ReplayAdversary adversary(&actions);
+  if (workspace == nullptr) {
+    return run_le_once(builder, n, k, adversary, trial_seed, options);
+  }
+  return workspace->run_le_once(key, builder, n, k, adversary, trial_seed,
+                                options);
+}
+
+LeRunResult replay_cell_trial(const LeBuilder& builder, const CellTrace& cell,
+                              const TrialTrace& trial,
+                              exec::TrialWorkspace* workspace) {
+  return replay_actions(builder, static_cast<int>(cell.n),
+                        static_cast<int>(cell.k), trial.actions,
+                        trial.trial_seed,
+                        cell_kernel_options(cell.step_limit, cell.rmr),
+                        workspace, cell.cell_index);
+}
+
 LeRunResult record_trial_trace(const LeBuilder& builder, int n, int k,
                                const AdversaryFactory& factory, int trial,
                                std::uint64_t seed0,
-                               Kernel::Options kernel_options,
-                               TrialTrace* out) {
+                               const Kernel::Options& kernel_options,
+                               TrialTrace* out,
+                               exec::TrialWorkspace* workspace,
+                               std::uint64_t key) {
   RTS_ASSERT(out != nullptr);
   out->trial_seed = trial_seed(seed0, trial);
   out->adversary_seed = adversary_seed(out->trial_seed);
   const std::unique_ptr<Adversary> inner = factory(out->adversary_seed);
   RecordingAdversary recorder(*inner, &out->actions);
   const LeRunResult result =
-      run_le_once(builder, n, k, recorder, out->trial_seed, kernel_options);
+      workspace == nullptr
+          ? run_le_once(builder, n, k, recorder, out->trial_seed,
+                        kernel_options)
+          : workspace->run_le_once(key, builder, n, k, recorder,
+                                   out->trial_seed, kernel_options);
   fill_trace_result(*out, result);
   return result;
 }

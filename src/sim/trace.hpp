@@ -33,6 +33,10 @@
 #include "sim/runner.hpp"
 #include "sim/types.hpp"
 
+namespace rts::exec {
+class TrialWorkspace;
+}  // namespace rts::exec
+
 namespace rts::sim {
 
 /// One line per operation: "#step pid OP reg(name) value [saw writer]".
@@ -107,16 +111,45 @@ void fill_trace_result(TrialTrace& trace, const LeRunResult& result);
 /// replayed result, or returns an empty string when they match exactly.
 std::string replay_mismatch(const TrialTrace& trace, const LeRunResult& result);
 
-/// Records trial `trial` of a (builder, n, k, factory, seed0) stream the
-/// way the campaign --record path does -- seeds derived via trial_seed /
-/// adversary_seed, the schedule captured action by action, the digest
-/// filled from the run -- and returns the run's result.  The one recipe
-/// shared by the worst-case hunt and the trace tests, so "records exactly
-/// like --record" cannot drift.
+/// The Kernel::Options a recorded cell runs under, when it is recorded and
+/// when it is replayed: its step limit (0 keeps the kernel default) and its
+/// RMR charging model.
+Kernel::Options cell_kernel_options(std::uint64_t step_limit,
+                                    rmr::RmrModel rmr);
+
+/// The replayer: re-drives `actions` for a trial seeded with `trial_seed`
+/// under `options`, on a fresh kernel, or through `workspace`'s pooled
+/// stream `key` when a workspace is given.  Throws rts::Error when the
+/// schedule diverges (a recorded action lands on a pid that is not runnable,
+/// or the run asks for more decisions than were recorded); comparing the
+/// result with the recorded digest is the caller's replay_mismatch.
+LeRunResult replay_actions(const LeBuilder& builder, int n, int k,
+                           const std::vector<Action>& actions,
+                           std::uint64_t trial_seed,
+                           const Kernel::Options& options,
+                           exec::TrialWorkspace* workspace = nullptr,
+                           std::uint64_t key = 0);
+
+/// Replays one recorded trial of `cell` under the cell's own options
+/// (cell_kernel_options), pooled under the cell index when `workspace` is
+/// given.
+LeRunResult replay_cell_trial(const LeBuilder& builder, const CellTrace& cell,
+                              const TrialTrace& trial,
+                              exec::TrialWorkspace* workspace = nullptr);
+
+/// The recorder: records trial `trial` of a (builder, n, k, factory, seed0)
+/// stream -- seeds derived via trial_seed / adversary_seed, the schedule
+/// captured action by action, the digest filled from the run -- and returns
+/// the run's result.  Runs on a fresh kernel, or through `workspace`'s
+/// pooled stream `key` when a workspace is given.  The campaign --record
+/// path, the worst-case hunt and the trace tests all record through it.
 LeRunResult record_trial_trace(const LeBuilder& builder, int n, int k,
                                const AdversaryFactory& factory, int trial,
                                std::uint64_t seed0,
-                               Kernel::Options kernel_options, TrialTrace* out);
+                               const Kernel::Options& kernel_options,
+                               TrialTrace* out,
+                               exec::TrialWorkspace* workspace = nullptr,
+                               std::uint64_t key = 0);
 
 /// Serializes a cell trace to the versioned binary format.
 std::string encode_cell_trace(const CellTrace& cell);

@@ -22,6 +22,8 @@
 #include "campaign/presets.hpp"
 #include "campaign/reporter.hpp"
 #include "campaign/spec.hpp"
+#include "exec/conformance.hpp"
+#include "sim/trace.hpp"
 
 namespace rts::campaign {
 namespace {
@@ -581,6 +583,38 @@ TEST_F(CliBattery, ValidInvocationsStillRun) {
   std::string batched_out;
   EXPECT_EQ(run_rts_bench(batched, &batched_out), 0);
   EXPECT_EQ(batched_out, scalar);
+}
+
+TEST_F(CliBattery, MinimizeRmrTakesTheRecordedTrialsRmrTotal) {
+  // --pred rmr without a threshold replays the trial under the cell's own
+  // RMR model to find the recorded total; a replay that dropped the model
+  // read 0 and refused to minimize.
+  const std::string input = path("rmr.rtst");
+  std::filesystem::copy_file(
+      std::string(RTS_TEST_DATA_DIR) +
+          "/corpus/rmr-abortable-race-abort-k8-cc-rmr.rtst",
+      input);
+  const std::string output = path("rmr.min.rtst");
+  std::string out;
+  ASSERT_EQ(run_rts_bench({"--minimize", input, "--trial", "0", "--pred",
+                           "rmr", "--out", output},
+                          &out),
+            0)
+      << out;
+  sim::CellTrace original;
+  sim::CellTrace minimized;
+  std::string error;
+  ASSERT_TRUE(sim::read_cell_trace_file(input, &original, &error)) << error;
+  ASSERT_TRUE(sim::read_cell_trace_file(output, &minimized, &error)) << error;
+  ASSERT_EQ(minimized.trials.size(), 1u);
+  const sim::TrialTrace& trial = minimized.trials[0];
+  EXPECT_LE(trial.actions.size(), original.trials[0].actions.size());
+  // The written trace replays (fresh and pooled) to its recorded digest,
+  // whose RMR total is nonzero.
+  EXPECT_GT(trial.rmr_total, 0u);
+  const exec::ConformanceReport report = exec::check_cell(minimized);
+  EXPECT_EQ(report.fresh_runs, 1);
+  EXPECT_TRUE(report.ok()) << report.mismatches.front();
 }
 
 TEST_F(CliBattery, TruncatedTrialsAreReportedNotErrors) {

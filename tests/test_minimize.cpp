@@ -24,6 +24,7 @@
 #include "algo/registry.hpp"
 #include "campaign/hunt.hpp"
 #include "exec/conformance.hpp"
+#include "exec/workspace.hpp"
 #include "sim/adversaries.hpp"
 #include "sim/minimize.hpp"
 #include "sim/runner.hpp"
@@ -137,6 +138,30 @@ TEST(ReplayPrefix, ReplaysRecordingsAndStarvesShortenedSchedules) {
   EXPECT_FALSE(
       replay_schedule_prefix(builder, 6, 6, crashed, trial.trial_seed)
           .has_value());
+}
+
+TEST(ReplayCellTrial, ChargesTheCellsRmrModel) {
+  // The shared replayer takes the RMR model from the cell itself, so an RMR
+  // corpus trace replays to its recorded (nonzero) RMR total on both the
+  // fresh and the pooled path.
+  CellTrace cell;
+  std::string error;
+  ASSERT_TRUE(read_cell_trace_file(
+      corpus_dir() + "/rmr-abortable-race-abort-k8-cc-rmr.rtst", &cell,
+      &error))
+      << error;
+  ASSERT_EQ(cell.rmr, rmr::RmrModel::kCC);
+  const LeBuilder builder =
+      algo::sim_builder(*algo::parse_algorithm(cell.algorithm));
+  const TrialTrace& trial = cell.trials.at(0);
+  ASSERT_GT(trial.rmr_total, 0u);
+  const LeRunResult fresh = replay_cell_trial(builder, cell, trial);
+  EXPECT_EQ(fresh.rmr_total, trial.rmr_total);
+  EXPECT_TRUE(replay_mismatch(trial, fresh).empty())
+      << replay_mismatch(trial, fresh);
+  exec::TrialWorkspace workspace;
+  const LeRunResult pooled = replay_cell_trial(builder, cell, trial, &workspace);
+  EXPECT_EQ(pooled.rmr_total, trial.rmr_total);
 }
 
 TEST(Minimize, ResultSatisfiesPredicateIsOneMinimalAndConforms) {
